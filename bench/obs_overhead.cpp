@@ -4,8 +4,11 @@
 // free. This bench runs the fully instrumented scavenge→estimate loop (the
 // same pipeline::evaluate_candidates path harvest_inspect and the table
 // benches use — scope spans per stage, quarantine instants per dropped
-// record) with the process recorder enabled and disabled, takes the
-// min-of-reps wall time for each, and reports the relative overhead.
+// record) with the process recorder enabled and disabled, timed in
+// ABBA-interleaved blocks (off, on, on, off, ...) so a drift in host speed
+// over the run lands on both modes alike (an order bias would be larger
+// than the gate), and reports the relative overhead of the median block
+// times.
 //
 //   obs_overhead [--fast] [--reps N] [--records N] [--iters N]
 //                [--max-overhead FRAC] [--json-out BENCH_obs.json]
@@ -23,6 +26,7 @@
 
 #include "bench/bench_util.h"
 #include "harvest/harvest.h"
+#include "stats/quantile.h"
 
 namespace {
 
@@ -59,20 +63,30 @@ void run_pipeline(const logs::LogStore& log,
   pipeline::evaluate_candidates(log, config, candidates, nullptr);
 }
 
-double min_of_reps(std::size_t reps, std::size_t iters,
-                   const logs::LogStore& log,
-                   const pipeline::PipelineConfig& config,
-                   const std::vector<core::PolicyPtr>& candidates) {
-  double best = 0;
+struct Timing {
+  double baseline_ms = 0;      ///< median block time, recorder off
+  double instrumented_ms = 0;  ///< median block time, recorder on
+};
+
+/// `reps` ABBA quartets (off, on, on, off) of `iters` passes per block, so
+/// each mode gets 2 * reps blocks and the same mean position in the run.
+Timing time_interleaved(obs::Recorder& recorder, std::size_t reps,
+                        std::size_t iters, const logs::LogStore& log,
+                        const pipeline::PipelineConfig& config,
+                        const std::vector<core::PolicyPtr>& candidates) {
+  std::vector<double> off_ms, on_ms;
   for (std::size_t r = 0; r < reps; ++r) {
-    bench::WallTimer timer;
-    for (std::size_t i = 0; i < iters; ++i) {
-      run_pipeline(log, config, candidates);
+    for (const bool enabled : {false, true, true, false}) {
+      recorder.set_enabled(enabled);
+      bench::WallTimer timer;
+      for (std::size_t i = 0; i < iters; ++i) {
+        run_pipeline(log, config, candidates);
+      }
+      (enabled ? on_ms : off_ms).push_back(timer.elapsed_ms());
     }
-    const double ms = timer.elapsed_ms();
-    if (r == 0 || ms < best) best = ms;
   }
-  return best;
+  recorder.set_enabled(true);
+  return {stats::quantile(off_ms, 0.5), stats::quantile(on_ms, 0.5)};
 }
 
 }  // namespace
@@ -123,21 +137,16 @@ int main(int argc, char** argv) {
   run_pipeline(log, config, candidates);
   recorder.drain();
 
-  recorder.set_enabled(false);
-  const double baseline_ms =
-      min_of_reps(reps, iters, log, config, candidates);
-
-  recorder.set_enabled(true);
   recorder.reset();
-  const double instrumented_ms =
-      min_of_reps(reps, iters, log, config, candidates);
+  const auto [baseline_ms, instrumented_ms] =
+      time_interleaved(recorder, reps, iters, log, config, candidates);
   const obs::DrainStats drained = recorder.drain();
   const std::uint64_t dropped = recorder.ring_dropped_total();
 
   const double overhead =
       baseline_ms > 0 ? (instrumented_ms - baseline_ms) / baseline_ms : 0.0;
 
-  util::Table table({"mode", "min wall ms", "overhead"});
+  util::Table table({"mode", "median wall ms", "overhead"});
   table.add_row({"recorder off", util::format_double(baseline_ms, 3), "-"});
   table.add_row({"recorder on", util::format_double(instrumented_ms, 3),
                  util::format_double(100.0 * overhead, 2) + "%"});

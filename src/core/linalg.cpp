@@ -36,6 +36,19 @@ void Matrix::add_outer(std::span<const double> v, double scale) {
   }
 }
 
+void Matrix::add_outer_with_bias(std::span<const double> x, double scale) {
+  const std::size_t n = x.size() + 1;
+  if (n != rows_ || rows_ != cols_) {
+    throw std::invalid_argument("add_outer: dimension mismatch");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double vi_s = (i == 0 ? 1.0 : x[i - 1]) * scale;
+    double* row = data_.data() + i * cols_;
+    row[0] += vi_s * 1.0;
+    for (std::size_t j = 1; j < n; ++j) row[j] += vi_s * x[j - 1];
+  }
+}
+
 std::vector<double> cholesky_solve(Matrix a, std::span<const double> b) {
   const std::size_t n = a.rows();
   if (a.cols() != n || b.size() != n) {
@@ -77,6 +90,16 @@ double dot(std::span<const double> a, std::span<const double> b) {
   if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
   double s = 0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+  return s;
+}
+
+double dot_with_bias(std::span<const double> x, std::span<const double> w) {
+  if (x.size() + 1 != w.size()) {
+    throw std::invalid_argument("dot: size mismatch");
+  }
+  double s = 0;
+  s += 1.0 * w[0];
+  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * w[i + 1];
   return s;
 }
 

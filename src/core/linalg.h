@@ -26,6 +26,10 @@ class Matrix {
   /// this += scale * (col_vec * col_vec^T); used to accumulate X^T W X.
   void add_outer(std::span<const double> v, double scale);
 
+  /// add_outer of the bias-augmented vector (1, x) without building it; the
+  /// same products in the same order, so the sums are bit-identical.
+  void add_outer_with_bias(std::span<const double> x, double scale);
+
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -40,5 +44,11 @@ std::vector<double> cholesky_solve(Matrix a, std::span<const double> b);
 
 /// Dot product; the two spans must have equal length.
 double dot(std::span<const double> a, std::span<const double> b);
+
+/// dot((1, x), w) for bias-first weights without building (1, x): `w` must
+/// have x.size() + 1 entries (std::invalid_argument otherwise, as dot()
+/// throws). Sums 1.0 * w[0] first, then x[i] * w[i + 1], exactly the order
+/// dot() uses on the augmented vector, so the result is bit-identical.
+double dot_with_bias(std::span<const double> x, std::span<const double> w);
 
 }  // namespace harvest::core

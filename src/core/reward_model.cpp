@@ -33,11 +33,11 @@ void RidgeRewardModel::observe(const FeatureVector& x, ActionId a,
   if (x.size() + 1 != dim_with_bias_) {
     throw std::invalid_argument("RidgeRewardModel::observe: bad dimension");
   }
-  const FeatureVector xb = x.with_bias();
   auto& pa = per_action_[a];
-  pa.xtx.add_outer(xb.values(), weight);
-  for (std::size_t i = 0; i < dim_with_bias_; ++i) {
-    pa.xty[i] += weight * reward * xb[i];
+  pa.xtx.add_outer_with_bias(x.values(), weight);
+  pa.xty[0] += weight * reward * 1.0;
+  for (std::size_t i = 1; i < dim_with_bias_; ++i) {
+    pa.xty[i] += weight * reward * x[i - 1];
   }
   pa.total_weight += weight;
   pa.fitted = false;
@@ -80,7 +80,7 @@ double RidgeRewardModel::predict(const FeatureVector& x, ActionId a) const {
   if (!pa.fitted) {
     throw std::logic_error("RidgeRewardModel::predict before fit()");
   }
-  return x.with_bias().dot(pa.coef);
+  return dot_with_bias(x.values(), pa.coef);
 }
 
 const std::vector<double>& RidgeRewardModel::weights(ActionId a) const {
@@ -117,22 +117,24 @@ void SgdRewardModel::update(const FeatureVector& x, ActionId a, double reward,
     throw std::out_of_range("SgdRewardModel::update: bad action");
   }
   auto& w = weights_[a];
-  const FeatureVector xb = x.with_bias();
-  if (xb.size() != w.size()) {
+  if (x.size() + 1 != w.size()) {
     throw std::invalid_argument("SgdRewardModel::update: bad dimension");
   }
   // Normalized LMS with a decaying rate: dividing by ||x||^2 makes the
   // step scale-invariant (health contexts mix 0/1 flags with counts up to
   // 20), and the sqrt decay keeps the iterate stable under importance
-  // weights.
+  // weights. The bias feature of (1, x) enters as the leading 1.0 terms, in
+  // the augmented vector's order, so updates stay bit-identical.
   double norm2 = 0;
-  for (std::size_t i = 0; i < xb.size(); ++i) norm2 += xb[i] * xb[i];
+  norm2 += 1.0 * 1.0;
+  for (std::size_t i = 0; i < x.size(); ++i) norm2 += x[i] * x[i];
   const double step =
       learning_rate_ /
       (norm2 * std::sqrt(1.0 + static_cast<double>(updates_[a]) / 100.0));
-  const double err = xb.dot(w) - reward;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    w[i] -= step * weight * (err * xb[i] + l2_ * w[i]);
+  const double err = dot_with_bias(x.values(), w) - reward;
+  w[0] -= step * weight * (err * 1.0 + l2_ * w[0]);
+  for (std::size_t i = 1; i < w.size(); ++i) {
+    w[i] -= step * weight * (err * x[i - 1] + l2_ * w[i]);
   }
   ++updates_[a];
 }
@@ -141,7 +143,7 @@ double SgdRewardModel::predict(const FeatureVector& x, ActionId a) const {
   if (a >= weights_.size()) {
     throw std::out_of_range("SgdRewardModel::predict: bad action");
   }
-  return x.with_bias().dot(weights_[a]);
+  return dot_with_bias(x.values(), weights_[a]);
 }
 
 // Both fitters accumulate X^T W X / X^T W y in per-shard models and merge

@@ -36,9 +36,8 @@ const LinUcbTrainer::Arm& LinUcbTrainer::arm(ActionId a) const {
 }
 
 double LinUcbTrainer::predict(const FeatureVector& x, ActionId a) const {
-  const FeatureVector xb = x.with_bias();
   const std::vector<double> theta = cholesky_solve(arm(a).a, arm(a).b);
-  return xb.dot(theta);
+  return dot_with_bias(x.values(), theta);
 }
 
 double LinUcbTrainer::bonus(const FeatureVector& x, ActionId a) const {
@@ -64,13 +63,13 @@ ActionId LinUcbTrainer::step(const FeatureVector& x) const {
 
 void LinUcbTrainer::learn(const FeatureVector& x, ActionId a, double reward) {
   if (a >= arms_.size()) throw std::out_of_range("LinUcbTrainer: bad action");
-  const FeatureVector xb = x.with_bias();
-  if (xb.size() != dim_with_bias_) {
+  if (x.size() + 1 != dim_with_bias_) {
     throw std::invalid_argument("LinUcbTrainer: bad dimension");
   }
-  arms_[a].a.add_outer(xb.values(), 1.0);
-  for (std::size_t d = 0; d < dim_with_bias_; ++d) {
-    arms_[a].b[d] += reward * xb[d];
+  arms_[a].a.add_outer_with_bias(x.values(), 1.0);
+  arms_[a].b[0] += reward * 1.0;
+  for (std::size_t d = 1; d < dim_with_bias_; ++d) {
+    arms_[a].b[d] += reward * x[d - 1];
   }
 }
 
@@ -99,14 +98,14 @@ void LinUcbTrainer::learn_batch(const std::vector<ExplorationPoint>& batch) {
           if (pt.action >= num_arms) {
             throw std::out_of_range("LinUcbTrainer::learn_batch: bad action");
           }
-          const FeatureVector xb = pt.context.with_bias();
-          if (xb.size() != dim_with_bias_) {
+          if (pt.context.size() + 1 != dim_with_bias_) {
             throw std::invalid_argument(
                 "LinUcbTrainer::learn_batch: bad dimension");
           }
-          p.a[pt.action].add_outer(xb.values(), 1.0);
-          for (std::size_t d = 0; d < dim_with_bias_; ++d) {
-            p.b[pt.action][d] += pt.reward * xb[d];
+          p.a[pt.action].add_outer_with_bias(pt.context.values(), 1.0);
+          p.b[pt.action][0] += pt.reward * 1.0;
+          for (std::size_t d = 1; d < dim_with_bias_; ++d) {
+            p.b[pt.action][d] += pt.reward * pt.context[d - 1];
           }
         }
         return p;
@@ -139,7 +138,7 @@ class FrozenLinUcbModel final : public RewardModel {
   FrozenLinUcbModel(std::vector<std::vector<double>> thetas)
       : thetas_(std::move(thetas)) {}
   double predict(const FeatureVector& x, ActionId a) const override {
-    return x.with_bias().dot(thetas_.at(a));
+    return dot_with_bias(x.values(), thetas_.at(a));
   }
   std::size_t num_actions() const override { return thetas_.size(); }
   std::string name() const override { return "linucb-frozen"; }

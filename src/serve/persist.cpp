@@ -11,6 +11,7 @@
 
 #include "obs/metrics.h"
 #include "store/crc32c.h"
+#include "util/atomic_file.h"
 
 namespace harvest::serve {
 
@@ -68,36 +69,6 @@ std::string read_whole_file(const std::filesystem::path& path) {
     throw std::invalid_argument("snapshot file read failed: " + path.string());
   }
   return bytes;
-}
-
-/// Writes `bytes` to a dot-prefixed temporary in `path`'s directory, flushes,
-/// and renames into place — the atomic-publish primitive both snapshot files
-/// and CURRENT go through.
-void atomic_write(const std::filesystem::path& path, std::string_view bytes) {
-  const std::filesystem::path tmp =
-      path.parent_path() / ("." + path.filename().string() + ".tmp");
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("SnapshotStore: cannot open " + tmp.string());
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      throw std::runtime_error("SnapshotStore: short write to " +
-                               tmp.string());
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code rm;
-    std::filesystem::remove(tmp, rm);
-    throw std::runtime_error("SnapshotStore: rename to " + path.string() +
-                             " failed: " + ec.message());
-  }
 }
 
 /// Parses "snapshot-<digits>.hsnap" back to its id; returns false for any
@@ -178,12 +149,12 @@ std::filesystem::path SnapshotStore::save_bytes(std::uint64_t id,
                                                 std::string_view payload) {
   const std::string name = snapshot_file_name(id);
   const std::filesystem::path path = options_.dir / name;
-  atomic_write(path, frame_snapshot_file(payload));
+  util::atomic_write_file(path, frame_snapshot_file(payload));
   // The snapshot file is durable before CURRENT flips to it, so a crash
   // between the two renames leaves CURRENT pointing at the previous (still
   // intact) snapshot.
-  atomic_write(options_.dir / std::filesystem::path(kCurrentFileName),
-               name + "\n");
+  util::atomic_write_file(
+      options_.dir / std::filesystem::path(kCurrentFileName), name + "\n");
   ++saved_;
   if (options_.registry != nullptr) {
     options_.registry->counter("serve_snapshot_saved_total").add(1);

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/atomic_file.h"
+
 namespace harvest::store {
 
 namespace {
@@ -346,6 +348,15 @@ ScanResult Dataset::scan(const ScanPredicate& predicate,
   out.context_dim = schema_.context_fields.size();
   std::size_t shard_base = 0;
   std::size_t block_base = 0;
+  // The first non-empty part's columns are taken over, not copied: a
+  // one-part dataset (one serving round) costs no concatenation at all.
+  const auto append = [](auto& to, auto& from) {
+    if (to.empty()) {
+      to.swap(from);
+    } else {
+      to.insert(to.end(), from.begin(), from.end());
+    }
+  };
   for (const Reader& reader : readers_) {
     ScanResult part = reader.scan(predicate, pool);
     out.blocks_read += part.blocks_read;
@@ -356,15 +367,11 @@ ScanResult Dataset::scan(const ScanPredicate& predicate,
       q.block += block_base;
       out.quarantined.push_back(std::move(q));
     }
-    out.time.insert(out.time.end(), part.time.begin(), part.time.end());
-    out.context.insert(out.context.end(), part.context.begin(),
-                       part.context.end());
-    out.action.insert(out.action.end(), part.action.begin(),
-                      part.action.end());
-    out.reward.insert(out.reward.end(), part.reward.begin(),
-                      part.reward.end());
-    out.propensity.insert(out.propensity.end(), part.propensity.begin(),
-                          part.propensity.end());
+    append(out.time, part.time);
+    append(out.context, part.context);
+    append(out.action, part.action);
+    append(out.reward, part.reward);
+    append(out.propensity, part.propensity);
     shard_base += reader.shards().size();
     block_base += reader.num_blocks();
   }
@@ -453,14 +460,15 @@ void DatasetWriter::finish() {
   counts_.rows = rows_written_;
   manifest_.counts = counts_;
 
-  const std::string path =
-      (std::filesystem::path(dir_) / kManifestFileName).string();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail(path, "cannot create manifest");
-  const std::string json = manifest_.to_json();
-  out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  out.flush();
-  if (!out) fail(path, "manifest write failed");
+  // Published atomically: a crash mid-write leaves the previous manifest
+  // (or none) in place, never a torn one Dataset::open would refuse.
+  const std::filesystem::path path =
+      std::filesystem::path(dir_) / kManifestFileName;
+  try {
+    util::atomic_write_file(path, manifest_.to_json());
+  } catch (const std::exception& e) {
+    fail(path.string(), e.what());
+  }
 }
 
 }  // namespace harvest::store

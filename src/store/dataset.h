@@ -123,7 +123,9 @@ class DatasetWriter {
   /// count — the pass-through ledger of a drop-free ingest).
   void set_counts(const Counts& counts);
 
-  /// Closes the open part file and writes MANIFEST.json. Idempotent.
+  /// Closes the open part file and publishes MANIFEST.json atomically
+  /// (temp file + rename, so a crash never leaves a torn manifest).
+  /// Idempotent.
   void finish();
 
   std::uint64_t rows_written() const { return rows_written_; }

@@ -11,17 +11,24 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace harvest::store {
 
 // ---- fixed-width little-endian primitives ---------------------------------
 
+/// Stores `v` little-endian at p[0..3] (frames filled in after their
+/// payload is encoded in place).
+inline void set_u32(char* p, std::uint32_t v) {
+  p[0] = static_cast<char>(v & 0xFF);
+  p[1] = static_cast<char>((v >> 8) & 0xFF);
+  p[2] = static_cast<char>((v >> 16) & 0xFF);
+  p[3] = static_cast<char>((v >> 24) & 0xFF);
+}
+
 inline void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+  char bytes[4];
+  set_u32(bytes, v);
+  out.append(bytes, 4);
 }
 
 inline void put_u16(std::string& out, std::uint16_t v) {
@@ -64,12 +71,18 @@ inline double get_f64(const char* p) {
 
 // ---- varint / zigzag ------------------------------------------------------
 
-inline void put_varint(std::string& out, std::uint64_t v) {
+/// A LEB128 varint of a 64-bit value never takes more than this many bytes.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Writes `v` as a LEB128 varint at `p` (room for kMaxVarintBytes assumed)
+/// and returns one past the last byte written.
+inline char* write_varint(char* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+    *p++ = static_cast<char>((v & 0x7F) | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<char>(v));
+  *p++ = static_cast<char>(v);
+  return p;
 }
 
 /// Decodes one varint from [*pos, data.size()); advances *pos. Returns false
@@ -77,6 +90,23 @@ inline void put_varint(std::string& out, std::uint64_t v) {
 /// values that fit 64 bits are accepted; the writer never emits them).
 inline bool get_varint(std::string_view data, std::size_t* pos,
                        std::uint64_t* out) {
+  if (*pos <= data.size() && data.size() - *pos >= kMaxVarintBytes) {
+    // Fast path: a whole maximal varint is in range, so no per-byte bounds
+    // check. Same acceptance as the loop below, including *pos advancing
+    // past all ten bytes of a varint whose last byte still continues.
+    const auto* p = reinterpret_cast<const unsigned char*>(data.data() + *pos);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+      v |= static_cast<std::uint64_t>(p[i] & 0x7F) << (7 * i);
+      if ((p[i] & 0x80) == 0) {
+        *pos += i + 1;
+        *out = v;
+        return true;
+      }
+    }
+    *pos += kMaxVarintBytes;
+    return false;
+  }
   std::uint64_t v = 0;
   int shift = 0;
   while (*pos < data.size() && shift < 70) {
@@ -102,90 +132,30 @@ inline std::int64_t unzigzag(std::uint64_t v) {
          -static_cast<std::int64_t>(v & 1);
 }
 
-// ---- column codecs --------------------------------------------------------
+// ---- column streams -------------------------------------------------------
+// Every column is a run of per-row varints. Encoders grow `out` once by the
+// worst case (kMaxVarintBytes per row), write through a pointer, and trim to
+// the bytes written. Decoders advance a cursor so several streams can share
+// one payload (the v2 context column is field-major: one stream per context
+// field); a whole-payload column adds `*pos == payload.size()` (trailing
+// garbage is corruption that slipped past a CRC collision). The stride lets
+// a context field scatter straight into the row-major output array.
 
-/// f64 column: varint of bits(v[i]) XOR bits(v[i-1]), prev starts at 0.
+/// f64 stream: varint of bits(v[i]) XOR bits(v[i-1]), prev starts at 0.
 /// Exact for every bit pattern; constant runs cost one byte per row.
-inline void encode_f64_column(std::span<const double> values,
-                              std::string& out) {
-  std::uint64_t prev = 0;
-  for (const double v : values) {
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-    put_varint(out, bits ^ prev);
-    prev = bits;
-  }
-}
-
-/// Decodes exactly `rows` values into `out` (appended). Returns false when
-/// the payload is truncated or has trailing garbage — treated by the reader
-/// as block corruption that slipped past a CRC collision.
-inline bool decode_f64_column(std::string_view payload, std::size_t rows,
-                              std::vector<double>& out) {
-  std::size_t pos = 0;
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::uint64_t delta = 0;
-    if (!get_varint(payload, &pos, &delta)) return false;
-    prev ^= delta;
-    out.push_back(std::bit_cast<double>(prev));
-  }
-  return pos == payload.size();
-}
-
-/// Same codec, decoding into a pre-assigned slot (parallel shard scans
-/// write disjoint ranges of one output array).
-inline bool decode_f64_column_into(std::string_view payload, std::size_t rows,
-                                   double* out) {
-  std::size_t pos = 0;
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::uint64_t delta = 0;
-    if (!get_varint(payload, &pos, &delta)) return false;
-    prev ^= delta;
-    out[i] = std::bit_cast<double>(prev);
-  }
-  return pos == payload.size();
-}
-
-/// Action column: varint of zigzag(delta), prev starts at 0. Small action
-/// sets make every delta a single byte.
-inline void encode_u32_column(std::span<const std::uint32_t> values,
-                              std::string& out) {
-  std::int64_t prev = 0;
-  for (const std::uint32_t v : values) {
-    put_varint(out, zigzag(static_cast<std::int64_t>(v) - prev));
-    prev = static_cast<std::int64_t>(v);
-  }
-}
-
-inline bool decode_u32_column_into(std::string_view payload, std::size_t rows,
-                                   std::uint32_t* out) {
-  std::size_t pos = 0;
-  std::int64_t prev = 0;
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::uint64_t raw = 0;
-    if (!get_varint(payload, &pos, &raw)) return false;
-    prev += unzigzag(raw);
-    if (prev < 0 || prev > 0xFFFFFFFFll) return false;
-    out[i] = static_cast<std::uint32_t>(prev);
-  }
-  return pos == payload.size();
-}
-
-// ---- field streams --------------------------------------------------------
-// The v2 context column is field-major: one stream per context field, all
-// sharing a single payload. These variants advance a cursor instead of
-// demanding the payload be exactly one stream, and take a stride so decode
-// can scatter straight into the row-major output array.
-
 inline void encode_f64_stream(const double* values, std::size_t rows,
                               std::size_t stride, std::string& out) {
+  const std::size_t at = out.size();
+  out.resize(at + rows * kMaxVarintBytes);
+  char* const begin = out.data();
+  char* p = begin + at;
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < rows; ++i) {
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(values[i * stride]);
-    put_varint(out, bits ^ prev);
+    p = write_varint(p, bits ^ prev);
     prev = bits;
   }
+  out.resize(static_cast<std::size_t>(p - begin));
 }
 
 inline bool decode_f64_stream(std::string_view payload, std::size_t* pos,
@@ -199,6 +169,22 @@ inline bool decode_f64_stream(std::string_view payload, std::size_t* pos,
     out[i * stride] = std::bit_cast<double>(prev);
   }
   return true;
+}
+
+/// u32 stream (actions, dictionary codes): varint of zigzag(delta), prev
+/// starts at 0. Small action sets make every delta a single byte.
+inline void encode_u32_stream(std::span<const std::uint32_t> values,
+                              std::string& out) {
+  const std::size_t at = out.size();
+  out.resize(at + values.size() * kMaxVarintBytes);
+  char* const begin = out.data();
+  char* p = begin + at;
+  std::int64_t prev = 0;
+  for (const std::uint32_t v : values) {
+    p = write_varint(p, zigzag(static_cast<std::int64_t>(v) - prev));
+    prev = static_cast<std::int64_t>(v);
+  }
+  out.resize(static_cast<std::size_t>(p - begin));
 }
 
 inline bool decode_u32_stream(std::string_view payload, std::size_t* pos,

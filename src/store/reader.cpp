@@ -14,8 +14,8 @@ namespace harvest::store {
 
 namespace {
 
-/// A maximal run of contiguous healthy rows within a shard (absolute row
-/// coordinates). The compaction pass squeezes quarantine/prune gaps out by
+/// A maximal run of contiguous healthy rows within a shard (row-slot
+/// coordinates). The compaction pass squeezes quarantine/filter gaps out by
 /// moving these in order.
 struct Segment {
   std::uint64_t start = 0;
@@ -295,8 +295,18 @@ ScanResult Reader::scan(const ScanPredicate& predicate,
   obs::ScopedSpan span("store.scan");
   const auto scan_start = std::chrono::steady_clock::now();
   const std::size_t dim = schema_.context_fields.size();
-  const auto total_rows = static_cast<std::size_t>(counts_.rows);
   const bool filtering = !predicate.trivial();
+
+  // Row slots go only to blocks the zone maps admit, so a selective scan
+  // allocates (and zero-fills) what it may decode, not the whole file.
+  std::vector<std::uint64_t> slot(blocks_.size());
+  std::size_t total_rows = 0;
+  for (std::size_t gb = 0; gb < blocks_.size(); ++gb) {
+    slot[gb] = total_rows;
+    if (!filtering || predicate.admits(blocks_[gb].zone)) {
+      total_rows += blocks_[gb].rows;
+    }
+  }
 
   ScanResult result;
   result.context_dim = dim;
@@ -328,15 +338,13 @@ ScanResult Reader::scan(const ScanPredicate& predicate,
           obs::RecSpan shard_span(rec, kShardName, s, shard.blocks);
           const bool dict_ok = parse_dictionary(data_, shard, dim, &dict);
           std::size_t next_at = shard.offset;
-          std::uint64_t next_row = shard.first_row;
           for (std::uint32_t b = 0; b < shard.blocks; ++b) {
             const std::size_t gb = block_base_[s] + b;
             const BlockIndexEntry& entry = blocks_[gb];
             const std::size_t block_at = next_at;
-            const std::uint64_t row = next_row;
+            const std::uint64_t row = slot[gb];
             const std::uint32_t rows = entry.rows;
             next_at += entry.bytes;
-            next_row += rows;
 
             if (filtering && !predicate.admits(entry.zone)) {
               ++scan.blocks_pruned;
@@ -396,17 +404,26 @@ ScanResult Reader::scan(const ScanPredicate& predicate,
             }
             if (good) {
               const auto at = static_cast<std::size_t>(row);
-              good = decode_f64_column_into(payload[0], rows,
-                                            result.time.data() + at) &&
+              // A whole-payload column must end exactly where its stream
+              // does.
+              const auto f64_column = [&](std::string_view p, double* out) {
+                std::size_t pos = 0;
+                return decode_f64_stream(p, &pos, rows, out, 1) &&
+                       pos == p.size();
+              };
+              const auto u32_column = [&](std::string_view p,
+                                          std::uint32_t* out) {
+                std::size_t pos = 0;
+                return decode_u32_stream(p, &pos, rows, out) &&
+                       pos == p.size();
+              };
+              good = f64_column(payload[0], result.time.data() + at) &&
                      decode_context_column(payload[1], rows, dim,
                                            result.context.data() + at * dim,
                                            dict, dict_ok, codes, &bad_reason) &&
-                     decode_u32_column_into(payload[2], rows,
-                                            result.action.data() + at) &&
-                     decode_f64_column_into(payload[3], rows,
-                                            result.reward.data() + at) &&
-                     decode_f64_column_into(payload[4], rows,
-                                            result.propensity.data() + at);
+                     u32_column(payload[2], result.action.data() + at) &&
+                     f64_column(payload[3], result.reward.data() + at) &&
+                     f64_column(payload[4], result.propensity.data() + at);
               if (good) {
                 bad_reason.clear();
               } else if (bad_reason.empty()) {

@@ -127,7 +127,7 @@ void Writer::encode_context_column(std::string& out) {
     }
     if (use_dict) {
       out.push_back(static_cast<char>(kContextDict));
-      encode_u32_column(code_scratch_, out);
+      encode_u32_stream(code_scratch_, out);
     } else {
       out.push_back(static_cast<char>(kContextRaw));
       encode_f64_stream(context_.data() + f, rows, dim, out);
@@ -170,28 +170,37 @@ void Writer::flush_block() {
     zone.max_propensity = std::numeric_limits<double>::infinity();
   }
 
-  std::string block;
-  put_u32(block, kBlockMagic);
-  put_u32(block, rows);
+  // Each column is framed as u32 payload bytes + u32 CRC32C, then the
+  // payload; the payload is encoded in place and its frame filled in after.
+  block_.clear();
+  put_u32(block_, kBlockMagic);
+  put_u32(block_, rows);
   const auto column = [&](auto encode) {
-    scratch_.clear();
-    encode(scratch_);
-    put_u32(block, static_cast<std::uint32_t>(scratch_.size()));
-    put_u32(block, crc32c(scratch_));
-    block += scratch_;
+    const std::size_t frame = block_.size();
+    block_.append(8, '\0');
+    encode(block_);
+    const std::size_t bytes = block_.size() - frame - 8;
+    char* const head = block_.data() + frame;
+    set_u32(head, static_cast<std::uint32_t>(bytes));
+    set_u32(head + 4, crc32c(std::string_view(head + 8, bytes)));
   };
-  column([&](std::string& out) { encode_f64_column(time_, out); });
+  const auto f64_column = [&](const std::vector<double>& values) {
+    column([&](std::string& out) {
+      encode_f64_stream(values.data(), values.size(), 1, out);
+    });
+  };
+  f64_column(time_);
   column([&](std::string& out) { encode_context_column(out); });
-  column([&](std::string& out) { encode_u32_column(action_, out); });
-  column([&](std::string& out) { encode_f64_column(reward_, out); });
-  column([&](std::string& out) { encode_f64_column(propensity_, out); });
+  column([&](std::string& out) { encode_u32_stream(action_, out); });
+  f64_column(reward_);
+  f64_column(propensity_);
 
-  out_.write(block.data(), static_cast<std::streamsize>(block.size()));
-  offset_ += block.size();
+  out_.write(block_.data(), static_cast<std::streamsize>(block_.size()));
+  offset_ += block_.size();
   shard_rows_ += rows;
   ++shard_blocks_;
   block_index_.push_back(
-      {static_cast<std::uint32_t>(block.size()), rows, zone});
+      {static_cast<std::uint32_t>(block_.size()), rows, zone});
   obs::Registry::global().counter("store_blocks_written_total").add(1.0);
 
   time_.clear();

@@ -110,7 +110,8 @@ class Writer {
   std::uint32_t shard_blocks_ = 0;
   std::uint64_t rows_written_ = 0;
   bool finished_ = false;
-  std::string scratch_;  ///< reused encode buffer
+  std::string block_;    ///< reused encode buffer for one framed block
+  std::string scratch_;  ///< reused encode buffer for dictionary sections
   std::vector<std::uint32_t> code_scratch_;
 };
 

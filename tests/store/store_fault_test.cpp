@@ -2,8 +2,13 @@
 // quarantined at block granularity (the rest of its shard still reads),
 // the drop lands in the kCorruptBlock ledger class, and damage to the
 // trusted sections (header, schema, footer, trailer) is fatal at open.
+// A dataset's MANIFEST.json is published by temp-then-rename, so a crash
+// mid-publish never leaves a torn manifest.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -205,6 +210,67 @@ TEST(StoreFaultTest, ChaosSweepConservesEveryRow) {
     EXPECT_EQ(scan.rows() + scan.rows_quarantined(),
               kRowsPerBlock * kBlocks);
   }
+}
+
+/// Writes `rows` rows of the demo schema as a one-part dataset in `dir`.
+void write_dataset(const std::filesystem::path& dir, std::size_t rows) {
+  DatasetWriter writer(dir.string(), demo_schema());
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double row[] = {static_cast<double>(i), 1.0};
+    writer.add(static_cast<double>(i), row, static_cast<std::uint32_t>(i % 4),
+               0.5, 0.25);
+  }
+  writer.finish();
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(StoreFaultTest, LeftoverManifestTempDoesNotBreakOpen) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "hlog_manifest_leftover";
+  std::filesystem::remove_all(dir);
+  write_dataset(dir, 30);
+  // A crash during the next publish leaves a half-written temporary beside
+  // the intact manifest; readers never look at it.
+  const std::filesystem::path tmp = dir / ".MANIFEST.json.tmp";
+  std::ofstream(tmp) << "{\n  \"hlog_dataset\": 1,\n  \"coun";
+  const Dataset dataset = Dataset::open(dir.string());
+  EXPECT_EQ(dataset.rows(), 30u);
+  EXPECT_EQ(dataset.scan().rows(), 30u);
+  // The next publish overwrites the stale temporary and renames it away.
+  write_dataset(dir, 45);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_EQ(Dataset::open(dir.string()).rows(), 45u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StoreFaultTest, ManifestIsReplacedNeverRewrittenInPlace) {
+  const std::filesystem::path root =
+      std::filesystem::path(testing::TempDir()) / "hlog_manifest_replace";
+  std::filesystem::remove_all(root);
+  const std::filesystem::path dir = root / "ds";
+  write_dataset(dir, 30);
+  const std::string first = slurp(dir / kManifestFileName);
+  // A second name for the published manifest: an in-place truncate and
+  // rewrite would change what it reads mid-write; a rename never does.
+  const std::filesystem::path held = root / "held-manifest.json";
+  std::filesystem::create_hard_link(dir / kManifestFileName, held);
+  write_dataset(dir, 45);
+  EXPECT_EQ(slurp(held), first);
+  EXPECT_NE(slurp(dir / kManifestFileName), first);
+  EXPECT_EQ(Dataset::open(dir.string()).rows(), 45u);
+
+  // A publish that fails (here: the temporary cannot be created) throws and
+  // leaves the previous manifest whole.
+  const std::string second = slurp(dir / kManifestFileName);
+  std::filesystem::create_directory(dir / ".MANIFEST.json.tmp");
+  EXPECT_THROW(write_dataset(dir, 60), std::runtime_error);
+  EXPECT_EQ(slurp(dir / kManifestFileName), second);
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

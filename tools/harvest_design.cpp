@@ -30,8 +30,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +47,7 @@
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "store/dataset.h"
+#include "util/atomic_file.h"
 #include "util/flags.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -247,11 +248,10 @@ void print_report(const design::PlannerReport& report) {
 }
 
 bool write_file(const std::string& path, const std::string& body) {
-  std::ofstream out(path, std::ios::trunc);
-  out << body;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "harvest_design: cannot write %s\n", path.c_str());
+  try {
+    util::atomic_write_file(path, body);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "harvest_design: %s\n", e.what());
     return false;
   }
   return true;

@@ -1,7 +1,5 @@
 #include "core/policies/basic.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace harvest::core {
@@ -67,78 +65,6 @@ std::vector<double> EpsilonGreedyPolicy::distribution(
 
 std::string EpsilonGreedyPolicy::name() const {
   return "eps-greedy(" + std::to_string(epsilon_) + ", " + base_->name() + ")";
-}
-
-SoftmaxPolicy::SoftmaxPolicy(std::size_t num_actions, Scorer scorer,
-                             double temperature, std::string name)
-    : Policy(num_actions),
-      scorer_(std::move(scorer)),
-      temperature_(temperature),
-      name_(std::move(name)) {
-  if (!scorer_) throw std::invalid_argument("SoftmaxPolicy: null scorer");
-  if (temperature <= 0) {
-    throw std::invalid_argument("SoftmaxPolicy: temperature > 0");
-  }
-}
-
-std::vector<double> SoftmaxPolicy::distribution(const FeatureVector& x) const {
-  std::vector<double> scores(num_actions());
-  for (std::size_t a = 0; a < num_actions(); ++a) {
-    scores[a] = scorer_(x, static_cast<ActionId>(a)) / temperature_;
-  }
-  const double max_score = *std::max_element(scores.begin(), scores.end());
-  double total = 0;
-  for (double& s : scores) {
-    s = std::exp(s - max_score);
-    total += s;
-  }
-  for (double& s : scores) s /= total;
-  return scores;
-}
-
-MixturePolicy::MixturePolicy(std::vector<PolicyPtr> components,
-                             std::vector<double> weights)
-    : Policy(components.empty() ? 0 : components.front()->num_actions()),
-      components_(std::move(components)),
-      weights_(std::move(weights)) {
-  if (components_.empty()) {
-    throw std::invalid_argument("MixturePolicy: no components");
-  }
-  if (weights_.size() != components_.size()) {
-    throw std::invalid_argument("MixturePolicy: weights size mismatch");
-  }
-  double total = 0;
-  for (const auto& c : components_) {
-    if (!c || c->num_actions() != num_actions()) {
-      throw std::invalid_argument("MixturePolicy: inconsistent components");
-    }
-  }
-  for (double w : weights_) {
-    if (w < 0) throw std::invalid_argument("MixturePolicy: negative weight");
-    total += w;
-  }
-  if (total <= 0) throw std::invalid_argument("MixturePolicy: zero weights");
-  for (double& w : weights_) w /= total;
-}
-
-std::vector<double> MixturePolicy::distribution(const FeatureVector& x) const {
-  std::vector<double> dist(num_actions(), 0.0);
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    const std::vector<double> d = components_[i]->distribution(x);
-    for (std::size_t a = 0; a < dist.size(); ++a) {
-      dist[a] += weights_[i] * d[a];
-    }
-  }
-  return dist;
-}
-
-std::string MixturePolicy::name() const {
-  std::string n = "mixture(";
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (i > 0) n += ", ";
-    n += components_[i]->name();
-  }
-  return n + ")";
 }
 
 FunctionPolicy::FunctionPolicy(std::size_t num_actions, Chooser chooser,

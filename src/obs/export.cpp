@@ -1,12 +1,15 @@
 #include "obs/export.h"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace harvest::obs {
+
+using util::json_escape;
 
 namespace {
 
@@ -66,29 +69,6 @@ std::string prom_labels(const Labels& labels, const std::string& extra = "") {
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void write_jsonl(const Registry& registry, std::ostream& out) {
   for (const auto& entry : registry.counters()) {

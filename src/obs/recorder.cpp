@@ -4,7 +4,7 @@
 #include <bit>
 #include <ostream>
 
-#include "obs/export.h"
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace harvest::obs {
@@ -445,7 +445,7 @@ void Recorder::write_chrome_trace(std::ostream& out) {
     sep();
     out << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << t
         << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-        << json_escape(threads[t]) << "\"}}";
+        << util::json_escape(threads[t]) << "\"}}";
   }
   // Sort by start time (stable: per-thread completion order breaks ties) so
   // the file is chronologically browsable even without a viewer.
@@ -457,7 +457,7 @@ void Recorder::write_chrome_trace(std::ostream& out) {
                    });
   for (const std::size_t i : order) {
     const Event& e = events[i];
-    const std::string name = json_escape(std::string(name_of(e.name)));
+    const std::string name = util::json_escape(name_of(e.name));
     sep();
     switch (e.kind) {
       case EventKind::kSpan:

@@ -33,8 +33,8 @@
 //    sites intern in a function-local static and pass the id.
 //
 // Export: write_chrome_trace emits Chrome Trace Event Format JSON loadable
-// by chrome://tracing and Perfetto; tools/harvest_trace analyzes either
-// that or the legacy span JSONL (trace.h, now also recorder-backed).
+// by chrome://tracing and Perfetto, the repo's only trace encoding;
+// tools/harvest_trace analyzes it.
 #pragma once
 
 #include <atomic>
@@ -54,8 +54,8 @@
 
 namespace harvest::obs {
 
-/// What one fixed-size trace event means. kScopeSpan is the legacy
-/// obs::ScopedSpan shape (explicit id/parent/depth for the JSONL format);
+/// What one fixed-size trace event means. kScopeSpan is the
+/// obs::ScopedSpan shape (explicit id/parent/depth, exported as args);
 /// kSpan is a recorder-native duration event whose nesting is implied by
 /// interval containment within a thread; kInstant marks a point in time;
 /// kCounter samples a value (histogram samples, queue depths).
@@ -130,7 +130,7 @@ class Recorder {
   /// The interned string for `id` ("?" when out of range). Stable storage.
   std::string_view name_of(std::uint32_t id) const;
 
-  /// Next legacy span id (1-based, 0 reserved for "no parent").
+  /// Next ScopedSpan id (1-based, 0 reserved for "no parent").
   std::uint64_t next_span_id() {
     return 1 + span_ids_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -1,9 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <ostream>
-
-#include "util/string_util.h"
 
 namespace harvest::obs {
 
@@ -69,16 +66,6 @@ std::vector<SpanRecord> Tracer::snapshot() const {
   sorted.reserve(out.size());
   for (const std::size_t i : order) sorted.push_back(std::move(out[i]));
   return sorted;
-}
-
-void Tracer::write_jsonl(std::ostream& out) const {
-  for (const SpanRecord& span : snapshot()) {
-    out << "{\"id\":" << span.id << ",\"parent\":" << span.parent_id
-        << ",\"name\":\"" << span.name << "\",\"start_us\":"
-        << util::format_double(span.start_us, 3) << ",\"duration_us\":"
-        << util::format_double(span.duration_us, 3) << ",\"depth\":"
-        << span.depth << "}\n";
-  }
 }
 
 void Tracer::clear() { recorder_->reset(); }

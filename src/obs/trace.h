@@ -1,15 +1,13 @@
 // Lightweight span tracing for the harvest pipeline: scoped RAII timers
-// with parent/child nesting, dumpable as JSONL (one span object per line).
-// Spans wrap coarse stages (scavenge, infer, estimate, train, deploy
-// rounds); since this PR they are recorded through the lock-free flight
-// recorder (recorder.h), so per-request use is no longer forbidden — but
+// with parent/child nesting. Spans wrap coarse stages (scavenge, infer,
+// estimate, train, deploy rounds) and are recorded through the lock-free
+// flight recorder (recorder.h), whose Chrome trace dump carries each span's
+// id and parent as args.id/args.parent. Per-request use is allowed, but
 // prefer raw RecSpan/emit_instant at true hot-path sites, which skip the
-// per-span name intern and id bookkeeping this API keeps for its JSONL
-// parent/child format.
+// per-span name intern and id bookkeeping this API keeps.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,11 +41,6 @@ class Tracer {
 
   /// Completed spans, oldest first (at most `capacity` retained).
   std::vector<SpanRecord> snapshot() const;
-
-  /// Writes one JSON object per completed span:
-  ///   {"id":3,"parent":1,"name":"pipeline.scavenge","start_us":12.0,
-  ///    "duration_us":840.5,"depth":1}
-  void write_jsonl(std::ostream& out) const;
 
   void clear();
 

@@ -1,13 +1,16 @@
 #include "store/dataset.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "util/atomic_file.h"
+#include "util/json.h"
 
 namespace harvest::store {
 
@@ -17,149 +20,19 @@ namespace {
   throw std::runtime_error("hlog dataset: " + origin + ": " + what);
 }
 
-// ---- minimal JSON ---------------------------------------------------------
-// Just enough for the fixed manifest grammar: objects, arrays, strings with
-// the common escapes, unsigned integers (ledger counts), bool/null. No
-// floats, no \uXXXX — the manifest writer never emits them.
-
-struct JsonValue {
-  enum Kind { kNull, kBool, kUint, kString, kArray, kObject };
-  Kind kind = kNull;
-  bool boolean = false;
-  std::uint64_t uint = 0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
-
-  const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-struct JsonParser {
-  std::string_view text;
-  std::size_t pos = 0;
-  const std::string& origin;
-
-  [[noreturn]] void error(const std::string& what) const {
-    fail(origin, what + " at byte " + std::to_string(pos));
-  }
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos >= text.size()) error("unexpected end of manifest");
-    return text[pos];
-  }
-
-  void expect(char c) {
-    if (peek() != c) error(std::string("expected '") + c + "'");
-    ++pos;
-  }
-
-  bool consume(char c) {
-    if (pos < text.size() && peek() == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\') {
-        if (pos >= text.size()) error("unterminated escape");
-        const char esc = text[pos++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          default: error("unsupported escape");
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos >= text.size()) error("unterminated string");
-    ++pos;  // closing quote
-    return out;
-  }
-
-  JsonValue parse_value() {
-    JsonValue v;
-    const char c = peek();
-    if (c == '{') {
-      ++pos;
-      v.kind = JsonValue::kObject;
-      if (!consume('}')) {
-        do {
-          std::string key = parse_string();
-          expect(':');
-          v.members.emplace_back(std::move(key), parse_value());
-        } while (consume(','));
-        expect('}');
-      }
-    } else if (c == '[') {
-      ++pos;
-      v.kind = JsonValue::kArray;
-      if (!consume(']')) {
-        do {
-          v.items.push_back(parse_value());
-        } while (consume(','));
-        expect(']');
-      }
-    } else if (c == '"') {
-      v.kind = JsonValue::kString;
-      v.str = parse_string();
-    } else if (c >= '0' && c <= '9') {
-      v.kind = JsonValue::kUint;
-      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-        const std::uint64_t digit = static_cast<std::uint64_t>(text[pos] - '0');
-        if (v.uint > (UINT64_MAX - digit) / 10) error("integer overflow");
-        v.uint = v.uint * 10 + digit;
-        ++pos;
-      }
-    } else if (text.compare(pos, 4, "true") == 0) {
-      pos += 4;
-      v.kind = JsonValue::kBool;
-      v.boolean = true;
-    } else if (text.compare(pos, 5, "false") == 0) {
-      pos += 5;
-      v.kind = JsonValue::kBool;
-    } else if (text.compare(pos, 4, "null") == 0) {
-      pos += 4;
-    } else {
-      error("unexpected token");
-    }
-    return v;
-  }
-};
-
-std::uint64_t require_uint(const JsonValue& obj, std::string_view key,
+std::uint64_t require_uint(const util::JsonValue& obj, std::string_view key,
                            const std::string& origin) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != JsonValue::kUint) {
-    fail(origin, "missing numeric field \"" + std::string(key) + "\"");
+  const util::JsonValue* v = obj.find(key);
+  const std::optional<std::uint64_t> value =
+      v ? v->as_uint() : std::nullopt;
+  if (!value) {
+    fail(origin, "field \"" + std::string(key) +
+                     "\" is missing or not an unsigned 64-bit integer");
   }
-  return v->uint;
+  return *value;
 }
 
-Counts parse_counts(const JsonValue& obj, const std::string& origin) {
+Counts parse_counts(const util::JsonValue& obj, const std::string& origin) {
   Counts c;
   c.records_seen = require_uint(obj, "records_seen", origin);
   c.decisions_seen = require_uint(obj, "decisions_seen", origin);
@@ -172,25 +45,6 @@ Counts parse_counts(const JsonValue& obj, const std::string& origin) {
   c.dropped_corrupt_block = require_uint(obj, "dropped_corrupt_block", origin);
   c.rows = require_uint(obj, "rows", origin);
   return c;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (c == '\t') {
-      out += "\\t";
-    } else if (c == '\r') {
-      out += "\\r";
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
 }
 
 void append_counts(std::string& out, const Counts& c,
@@ -209,6 +63,24 @@ void append_counts(std::string& out, const Counts& c,
   field("dropped_corrupt_block", c.dropped_corrupt_block);
   field("rows", c.rows, /*last=*/true);
   out += indent + "}";
+}
+
+/// The N of a "part-N.hlog" file name, or nullopt for any other name.
+std::optional<std::size_t> part_index(std::string_view name) {
+  constexpr std::string_view kPrefix = "part-", kSuffix = ".hlog";
+  if (name.size() <= kPrefix.size() + kSuffix.size() ||
+      !name.starts_with(kPrefix) || !name.ends_with(kSuffix)) {
+    return std::nullopt;
+  }
+  const std::string_view digits = name.substr(
+      kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+  std::size_t index = 0;
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), index);
+  if (ec != std::errc() || end != digits.data() + digits.size()) {
+    return std::nullopt;
+  }
+  return index;
 }
 
 std::string slurp(const std::string& path) {
@@ -230,9 +102,8 @@ std::string Manifest::to_json() const {
   out += ",\n  \"shards\": [";
   for (std::size_t i = 0; i < shards.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\n      \"file\": ";
-    append_json_string(out, shards[i].file);
-    out += ",\n      \"counts\": ";
+    out += "    {\n      \"file\": \"" + util::json_escape(shards[i].file) +
+           "\",\n      \"counts\": ";
     append_counts(out, shards[i].counts, "      ");
     out += "\n    }";
   }
@@ -243,11 +114,15 @@ std::string Manifest::to_json() const {
 
 Manifest Manifest::parse_json(std::string_view text,
                               const std::string& origin) {
-  JsonParser parser{text, 0, origin};
-  const JsonValue root = parser.parse_value();
-  parser.skip_ws();
-  if (parser.pos != text.size()) parser.error("trailing garbage");
-  if (root.kind != JsonValue::kObject) fail(origin, "manifest is not an object");
+  util::JsonValue root;
+  try {
+    root = util::parse_json(text);
+  } catch (const util::JsonError& e) {
+    fail(origin, e.what());
+  }
+  if (root.kind != util::JsonValue::kObject) {
+    fail(origin, "manifest is not an object");
+  }
 
   Manifest manifest;
   const std::uint64_t version = require_uint(root, "hlog_dataset", origin);
@@ -256,31 +131,32 @@ Manifest Manifest::parse_json(std::string_view text,
   }
   manifest.version = static_cast<std::uint32_t>(version);
 
-  const JsonValue* counts = root.find("counts");
-  if (counts == nullptr || counts->kind != JsonValue::kObject) {
+  const util::JsonValue* counts = root.find("counts");
+  if (counts == nullptr || counts->kind != util::JsonValue::kObject) {
     fail(origin, "missing \"counts\" object");
   }
   manifest.counts = parse_counts(*counts, origin);
 
-  const JsonValue* shards = root.find("shards");
-  if (shards == nullptr || shards->kind != JsonValue::kArray) {
+  const util::JsonValue* shards = root.find("shards");
+  if (shards == nullptr || shards->kind != util::JsonValue::kArray) {
     fail(origin, "missing \"shards\" array");
   }
-  for (const JsonValue& entry : shards->items) {
-    if (entry.kind != JsonValue::kObject) {
+  for (const util::JsonValue& entry : shards->items) {
+    if (entry.kind != util::JsonValue::kObject) {
       fail(origin, "shard entry is not an object");
     }
-    const JsonValue* file = entry.find("file");
-    if (file == nullptr || file->kind != JsonValue::kString ||
-        file->str.empty()) {
+    const util::JsonValue* file = entry.find("file");
+    if (file == nullptr || file->kind != util::JsonValue::kString ||
+        file->text.empty()) {
       fail(origin, "shard entry missing \"file\"");
     }
-    const JsonValue* shard_counts = entry.find("counts");
-    if (shard_counts == nullptr || shard_counts->kind != JsonValue::kObject) {
+    const util::JsonValue* shard_counts = entry.find("counts");
+    if (shard_counts == nullptr ||
+        shard_counts->kind != util::JsonValue::kObject) {
       fail(origin, "shard entry missing \"counts\"");
     }
     manifest.shards.push_back(
-        {file->str, parse_counts(*shard_counts, origin)});
+        {file->text, parse_counts(*shard_counts, origin)});
   }
   return manifest;
 }
@@ -390,6 +266,17 @@ DatasetWriter::DatasetWriter(std::string dir, Schema schema,
         "store::DatasetWriter: rows_per_file must be positive");
   }
   std::filesystem::create_directories(dir_);
+  // Parts already in the directory belong to the published manifest (or to
+  // a writer that died before publishing). New parts never reuse their
+  // names, so the manifest in place keeps naming intact files until the new
+  // one replaces it; the old parts are removed only after that.
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    const std::optional<std::size_t> index =
+        part_index(entry.path().filename().string());
+    if (!index) continue;
+    first_part_ = std::max(first_part_, *index + 1);
+    superseded_.push_back(entry.path());
+  }
   roll();
 }
 
@@ -404,7 +291,7 @@ DatasetWriter::~DatasetWriter() {
 void DatasetWriter::roll() {
   char name[32];
   std::snprintf(name, sizeof(name), "part-%05zu.hlog",
-                manifest_.shards.size());
+                first_part_ + manifest_.shards.size());
   const std::string path = (std::filesystem::path(dir_) / name).string();
   out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_) fail(path, "cannot create shard file");
@@ -468,6 +355,12 @@ void DatasetWriter::finish() {
     util::atomic_write_file(path, manifest_.to_json());
   } catch (const std::exception& e) {
     fail(path.string(), e.what());
+  }
+  // Best effort: a leftover part is never named by the manifest, and the
+  // next writer in this directory removes it.
+  for (const std::filesystem::path& stale : superseded_) {
+    std::error_code ec;
+    std::filesystem::remove(stale, ec);
   }
 }
 

@@ -23,12 +23,13 @@
 // Per-shard counts mirror each file's footer (cross-checked at open);
 // the top-level counts carry ingestion drops that happened before
 // partitioning, so `decisions_seen == rows + total_dropped()` reconciles
-// for the dataset exactly as it does for a single file. The parser is a
-// deliberately small hand-rolled JSON reader — the store has no external
-// dependencies and the manifest grammar is fixed.
+// for the dataset exactly as it does for a single file. The manifest is
+// read with the repo's one JSON reader (util/json.h), taking unsigned
+// integers only for its counts.
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -105,6 +106,11 @@ class Dataset {
 /// `rows_per_file` rows and writing the manifest on finish(). Each part file
 /// is an ordinary deterministic HLOG Writer product, so the whole dataset is
 /// a pure function of (schema, options, row sequence, counts).
+///
+/// In a directory that already holds parts, numbering starts one past the
+/// highest existing part, so the previous dataset stays readable until the
+/// new manifest is published; finish() then removes the old parts. A fresh
+/// directory starts at part-00000.hlog.
 class DatasetWriter {
  public:
   /// Creates `dir` (and parents) if needed. At least one part file is always
@@ -124,7 +130,8 @@ class DatasetWriter {
   void set_counts(const Counts& counts);
 
   /// Closes the open part file and publishes MANIFEST.json atomically
-  /// (temp file + rename, so a crash never leaves a torn manifest).
+  /// (temp file + rename, so a crash never leaves a torn manifest), then
+  /// removes the parts that were in the directory before this writer.
   /// Idempotent.
   void finish();
 
@@ -139,6 +146,8 @@ class DatasetWriter {
   Schema schema_;
   WriterOptions options_;
   std::uint64_t rows_per_file_;
+  std::size_t first_part_ = 0;  ///< one past the highest pre-existing part
+  std::vector<std::filesystem::path> superseded_;
   Counts counts_;
   bool have_counts_ = false;
 

@@ -160,6 +160,10 @@ TEST(LoggingPlanTest, ParseRejectsMalformedInput) {
   bad_rows.replace(pos, end - pos, "0.9");  // floor 0.9 * 3 rows > 1
   EXPECT_THROW(LoggingPlan::parse_json(bad_rows, "t"),
                std::invalid_argument);
+  // 100,000 nested arrays: rejected by the nesting limit, not a stack
+  // overflow.
+  EXPECT_THROW(LoggingPlan::parse_json(std::string(100000, '['), "t"),
+               std::invalid_argument);
 }
 
 TEST(LoggingPlanTest, ValidateRejectsBrokenPlans) {

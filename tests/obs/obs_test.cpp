@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -12,21 +13,21 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/json.h"
 
 namespace harvest::obs {
 namespace {
 
 // --- helpers -------------------------------------------------------------
 
-/// Minimal JSON field extraction for round-trip checks: finds `"key":` and
-/// parses the number that follows. Returns NaN when absent.
+/// The numeric field `key` of one exported JSON object, read with the
+/// repo's JSON reader. NaN when absent or not a number.
 double json_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  return std::stod(line.substr(pos + needle.size()));
+  const util::JsonValue object = util::parse_json(line);
+  const util::JsonValue* v = object.find(key);
+  return v != nullptr && v->as_double()
+             ? *v->as_double()
+             : std::numeric_limits<double>::quiet_NaN();
 }
 
 std::vector<std::string> lines_of(const std::string& text) {
@@ -174,8 +175,8 @@ TEST(ExportTest, PrometheusTextDump) {
 }
 
 TEST(ExportTest, JsonEscape) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(util::json_escape("plain"), "plain");
+  EXPECT_EQ(util::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
 // --- tracing -------------------------------------------------------------
@@ -228,26 +229,29 @@ TEST(TraceTest, DisabledTracerRecordsNothing) {
   EXPECT_TRUE(tracer.snapshot().empty());
 }
 
-TEST(TraceTest, JsonlDumpIsOneObjectPerSpan) {
+TEST(TraceTest, ChromeDumpChildNamesItsParent) {
   Tracer tracer(16);
   {
     ScopedSpan outer(tracer, "pipeline.evaluate");
     ScopedSpan inner(tracer, "pipeline.scavenge");
   }
   std::ostringstream out;
-  tracer.write_jsonl(out);
-  const std::vector<std::string> lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 2u);
-  for (const std::string& line : lines) {
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_FALSE(std::isnan(json_field(line, "id")));
-    EXPECT_FALSE(std::isnan(json_field(line, "parent")));
-    EXPECT_FALSE(std::isnan(json_field(line, "duration_us")));
+  tracer.recorder().write_chrome_trace(out);
+  const util::JsonValue dump = util::parse_json(out.str());
+  std::map<std::string, const util::JsonValue*> args_of;
+  for (const util::JsonValue& event : dump.find("traceEvents")->items) {
+    if (event.find("ph")->text != "X") continue;
+    EXPECT_TRUE(event.find("dur")->as_double().has_value());
+    args_of[event.find("name")->text] = event.find("args");
   }
+  ASSERT_EQ(args_of.size(), 2u);
+  const util::JsonValue* outer = args_of.at("pipeline.evaluate");
+  const util::JsonValue* inner = args_of.at("pipeline.scavenge");
+  ASSERT_TRUE(outer && inner && outer->find("id") && inner->find("parent"));
+  ASSERT_TRUE(outer->find("id")->as_uint().has_value());
+  EXPECT_EQ(outer->find("parent")->as_uint(), 0u);
   // The child names its parent.
-  const double outer_id = json_field(lines[1], "id");
-  EXPECT_DOUBLE_EQ(json_field(lines[0], "parent"), outer_id);
+  EXPECT_EQ(inner->find("parent")->as_uint(), outer->find("id")->as_uint());
 }
 
 TEST(TraceTest, ClearResets) {

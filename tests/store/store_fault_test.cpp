@@ -270,7 +270,35 @@ TEST(StoreFaultTest, ManifestIsReplacedNeverRewrittenInPlace) {
   std::filesystem::create_directory(dir / ".MANIFEST.json.tmp");
   EXPECT_THROW(write_dataset(dir, 60), std::runtime_error);
   EXPECT_EQ(slurp(dir / kManifestFileName), second);
+  // The parts it names are untouched too: the failed writer numbered its
+  // parts past the existing ones instead of truncating them.
+  EXPECT_EQ(Dataset::open(dir.string()).rows(), 45u);
   std::filesystem::remove_all(root);
+}
+
+TEST(StoreFaultTest, ReusedDirectoryDropsSupersededPartsAfterPublish) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "hlog_reused_dir";
+  std::filesystem::remove_all(dir);
+  write_dataset(dir, 30);
+  ASSERT_TRUE(std::filesystem::exists(dir / "part-00000.hlog"));
+  write_dataset(dir, 45);
+  const Dataset reopened = Dataset::open(dir.string());
+  EXPECT_EQ(reopened.rows(), 45u);
+  ASSERT_EQ(reopened.manifest().shards.size(), 1u);
+  EXPECT_EQ(reopened.manifest().shards[0].file, "part-00001.hlog");
+  EXPECT_FALSE(std::filesystem::exists(dir / "part-00000.hlog"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StoreFaultTest, DeeplyNestedManifestThrowsInsteadOfCrashing) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "hlog_deep_manifest";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / kManifestFileName) << std::string(100000, '[');
+  EXPECT_THROW(Dataset::open(dir.string()), std::runtime_error);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -563,5 +563,22 @@ TEST(FormatTest, ManifestRejectsMalformedJson) {
       std::runtime_error);
 }
 
+TEST(FormatTest, ManifestRejectsDeepNestingAndOverflow) {
+  // Rejected by the nesting limit, not a stack overflow.
+  EXPECT_THROW(Manifest::parse_json(std::string(100000, '['), "t"),
+               std::runtime_error);
+  // Counts are unsigned 64-bit: the largest parses exactly; one more, a
+  // sign or a fraction does not.
+  Manifest manifest;
+  manifest.counts.records_seen = UINT64_MAX;
+  const std::string json = manifest.to_json();
+  EXPECT_EQ(Manifest::parse_json(json, "t").counts.records_seen, UINT64_MAX);
+  for (const std::string bad : {"18446744073709551616", "-1", "1.5", "1e3"}) {
+    std::string text = json;
+    text.replace(text.find("\"rows\": 0") + 8, 1, bad);
+    EXPECT_THROW(Manifest::parse_json(text, "t"), std::runtime_error) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace harvest::store

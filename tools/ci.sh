@@ -180,7 +180,7 @@ fi
 # into per-worker utilization and a critical path.
 OBS_TRACE="$STORE_DIR/table2.trace.json"
 "$BUILD_DIR/bench/table2_load_balancing" --fast --threads 4 \
-  --trace-out "$OBS_TRACE" --trace-format chrome > /dev/null
+  --trace-out "$OBS_TRACE" > /dev/null
 OBS_REPORT="$("$BUILD_DIR/tools/harvest_trace" "$OBS_TRACE")"
 for needle in "per-worker utilization" "critical path" "par.task"; do
   if ! grep -q "$needle" <<< "$OBS_REPORT"; then

@@ -18,7 +18,7 @@
 //                   [--reward-lo 0 --reward-hi 1]
 //                   [--format auto|text|hlog] [--diagnostics]
 //                   [--min-time T] [--max-time T] [--only-action A]
-//                   [--trace spans.jsonl] [--inject SPEC] [--inject-seed N]
+//                   [--trace trace.json] [--inject SPEC] [--inject-seed N]
 //   harvest_inspect --selftest        # generate and process a demo log
 //
 // --format selects the input decoding; `auto` (the default) sniffs the HLOG
@@ -40,11 +40,9 @@
 //   min propensity, importance-weight tails, and the logging-vs-evaluation
 //   context-drift statistic (the A1 stationarity check).
 // --trace FILE writes the flight-recorder trace covering every pipeline
-//   stage that ran. --trace-format picks the encoding: `jsonl` (default;
-//   one span object per line with parent/child nesting, byte-compatible
-//   with pre-recorder dumps on clean runs) or `chrome` (Chrome Trace Event
-//   JSON for chrome://tracing / Perfetto, including worker-thread and
-//   store/pool events).
+//   stage that ran, as Chrome Trace Event JSON (chrome://tracing, Perfetto,
+//   tools/harvest_trace): pipeline spans carry their parent ids, and
+//   worker-thread and store/pool events are included.
 // --inject SPEC corrupts the log text before ingestion with the
 //   seed-deterministic fault injector (e.g. "torn=0.05,dup=0.02,bad-p=0.01";
 //   see src/fault/fault_spec.h for the taxonomy) — a chaos rehearsal of the
@@ -74,7 +72,6 @@ int usage() {
          "                       [--only-action A]\n"
          "                       [--min-propensity P] [--max-propensity P]\n"
          "                       [--diagnostics] [--trace FILE]\n"
-         "                       [--trace-format jsonl|chrome]\n"
          "                       [--inject SPEC] [--inject-seed N]\n"
          "       harvest_inspect --selftest [--diagnostics] [--trace FILE]\n"
          "(HLOG inputs are self-describing: the field-spec flags default\n"
@@ -146,12 +143,6 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const bool diagnostics = flags.get_bool("diagnostics", false);
   const std::string trace_path = flags.get_string("trace", "");
-  const std::string trace_format = flags.get_string("trace-format", "jsonl");
-  if (trace_format != "jsonl" && trace_format != "chrome") {
-    std::cerr << "bad --trace-format '" << trace_format
-              << "' (want jsonl or chrome)\n";
-    return 2;
-  }
   // --threads N parallelizes the pipeline's estimator/training stages;
   // output is bit-identical for any value (see src/par/par.h).
   par::set_default_threads(
@@ -464,16 +455,10 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write trace to " << trace_path << "\n";
       return 1;
     }
-    if (trace_format == "chrome") {
-      obs::Recorder& recorder = obs::Recorder::global();
-      recorder.write_chrome_trace(trace_file);
-      std::cout << "trace: " << recorder.trace_size()
-                << " events written to " << trace_path << "\n";
-    } else {
-      obs::Tracer::global().write_jsonl(trace_file);
-      std::cout << "trace: " << obs::Tracer::global().snapshot().size()
-                << " spans written to " << trace_path << "\n";
-    }
+    obs::Recorder& recorder = obs::Recorder::global();
+    recorder.write_chrome_trace(trace_file);
+    std::cout << "trace: " << recorder.trace_size() << " events written to "
+              << trace_path << "\n";
   }
   return 0;
 }

@@ -29,74 +29,20 @@
 //                          of uniform round 0; corrupt files are
 //                          quarantined with a fallback, never fatal
 //   --check-improvement    exit 1 unless final mean reward > round 0's
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "logs/scavenger.h"
 #include "serve/persist.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "serve/trainer.h"
-#include "store/dataset.h"
+#include "serve_sim.h"
 #include "util/flags.h"
-#include "util/hash.h"
-#include "util/rng.h"
-
-namespace {
 
 using namespace harvest;
-
-/// The simulated environment: action a in context x pays
-/// clamp01(w_a · [1, x]) plus small uniform noise. Linear in the features,
-/// so the ridge retrain can actually learn it.
-struct Environment {
-  std::vector<std::vector<double>> true_weights;  // [action][dim+1]
-
-  double reward(std::span<const double> x, std::uint32_t action,
-                util::Rng& rng) const {
-    const auto& w = true_weights[action];
-    double r = w[0];
-    for (std::size_t i = 0; i < x.size(); ++i) r += w[1 + i] * x[i];
-    r += rng.uniform(-0.05, 0.05);
-    return std::clamp(r, 0.0, 1.0);
-  }
-};
-
-store::Schema make_schema(std::size_t num_actions, std::size_t dim) {
-  store::Schema schema;
-  schema.decision_event = "serve";
-  for (std::size_t i = 0; i < dim; ++i) {
-    schema.context_fields.push_back("x" + std::to_string(i));
-  }
-  schema.action_field = "action";
-  schema.reward_field = "reward";
-  schema.propensity_field = "propensity";
-  schema.num_actions = static_cast<std::uint32_t>(num_actions);
-  schema.reward_lo = 0;
-  schema.reward_hi = 1;
-  return schema;
-}
-
-logs::ScavengeSpec make_spec(const store::Schema& schema) {
-  logs::ScavengeSpec spec;
-  spec.decision_event = schema.decision_event;
-  spec.context_fields = schema.context_fields;
-  spec.action_field = schema.action_field;
-  spec.reward_field = schema.reward_field;
-  spec.propensity_field = schema.propensity_field;
-  spec.reward_transform = [](double r) { return r; };
-  spec.num_actions = schema.num_actions;
-  spec.reward_range = {schema.reward_lo, schema.reward_hi};
-  return spec;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
@@ -124,18 +70,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // A learnable environment with clearly separated actions.
-  util::Rng env_rng(util::derive_stream_seed(seed, 1000));
-  Environment env;
-  env.true_weights.assign(num_actions, std::vector<double>(dim + 1));
-  for (auto& w : env.true_weights) {
-    for (auto& v : w) v = env_rng.uniform(-0.4, 0.4);
-    w[0] += 0.5;  // keep rewards centered inside [0, 1]
-  }
-
+  const tools::Environment env =
+      tools::Environment::make(seed, num_actions, dim);
   const std::size_t per_thread = (decisions + threads - 1) / threads;
-  std::size_t ring = 2;
-  while (ring < per_thread + 1) ring <<= 1;
 
   std::unique_ptr<serve::SnapshotStore> store;
   if (!snapshot_dir.empty()) {
@@ -146,7 +83,7 @@ int main(int argc, char** argv) {
   const serve::DecisionService::Options service_options{
       .num_actions = num_actions,
       .dim = dim,
-      .log_capacity = ring,
+      .log_capacity = tools::ring_capacity(per_thread),
       .seed = seed};
   std::unique_ptr<serve::DecisionService> service_owner;
   if (resume) {
@@ -175,52 +112,24 @@ int main(int argc, char** argv) {
   serve::SnapshotTrainer trainer(
       service, {.epsilon = epsilon, .min_rows = 32, .reward_range = {0, 1}});
 
-  const store::Schema schema = make_schema(num_actions, dim);
-  const logs::ScavengeSpec spec = make_spec(schema);
+  const store::Schema schema = tools::make_schema(num_actions, dim);
+  const logs::ScavengeSpec spec = tools::make_spec(schema);
   std::filesystem::create_directories(workdir);
 
   std::vector<double> round_means;
   for (std::size_t round = 0; round <= rounds; ++round) {
     // ---- serve one round --------------------------------------------------
-    std::vector<double> sums(threads, 0.0);
-    std::vector<std::thread> workers;
-    for (std::size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        util::Rng ctx_rng(
-            util::derive_stream_seed(seed ^ (round + 1), 2 * t));
-        util::Rng env_noise(
-            util::derive_stream_seed(seed ^ (round + 1), 2 * t + 1));
-        double ctx[serve::kMaxContextDim] = {};
-        const std::span<const double> span(ctx, dim);
-        for (std::size_t i = 0; i < per_thread; ++i) {
-          for (std::size_t d = 0; d < dim; ++d) ctx[d] = ctx_rng.uniform();
-          const serve::Decision dec = deciders[t]->decide(span);
-          const double r = env.reward(span, dec.action, env_noise);
-          deciders[t]->log_reward(r);
-          sums[t] += r;
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    double mean = 0;
-    for (double s : sums) mean += s;
-    mean /= static_cast<double>(per_thread * threads);
+    const double mean = tools::serve_decisions(deciders, per_thread, dim, env,
+                                               seed ^ (round + 1));
     round_means.push_back(mean);
 
     // ---- log the round to HLOG -------------------------------------------
+    // A resumed run re-serves round numbers a killed predecessor may have
+    // half-written; log_round starts each round's dataset from a clean slate.
     const std::string round_dir =
         workdir + "/round-" + std::to_string(round);
-    // A resumed run re-serves round numbers a killed predecessor may have
-    // half-written; start each round's dataset from a clean slate.
-    std::error_code stale_ec;
-    std::filesystem::remove_all(round_dir, stale_ec);
-    store::DatasetWriter writer(round_dir, schema);
     const serve::ServeDrainStats stats =
-        service.drain([&writer](const serve::DecisionRecord& rec) {
-          writer.add(rec.time, std::span<const double>(rec.context, rec.dim),
-                     rec.action, rec.reward, rec.propensity);
-        });
-    writer.finish();
+        tools::log_round(service, round_dir, schema);
     if (stats.dropped_total != 0) {
       std::fprintf(stderr, "harvest_serve: %llu records dropped (ring too "
                            "small for the round)\n",
@@ -235,9 +144,9 @@ int main(int argc, char** argv) {
     if (round == rounds) break;
 
     // ---- scavenge the round's own logs and retrain ------------------------
-    const store::Dataset dataset = store::Dataset::open(round_dir);
-    const logs::ScavengeResult harvested = logs::scavenge(dataset, spec);
-    if (harvested.data.empty()) {
+    const core::ExplorationDataset harvested =
+        tools::harvest_round(round_dir, spec);
+    if (harvested.empty()) {
       std::fprintf(stderr, "harvest_serve: scavenge returned no tuples\n");
       return 1;
     }
@@ -247,7 +156,7 @@ int main(int argc, char** argv) {
     std::string snapshot_bytes;
     const std::uint64_t published_id =
         service.publish_with([&](std::uint64_t id) {
-          auto snapshot = trainer.train_on(harvested.data, id);
+          auto snapshot = trainer.train_on(harvested, id);
           if (store != nullptr) snapshot_bytes = snapshot->serialize();
           return snapshot;
         });

@@ -1,13 +1,11 @@
 # End-to-end smoke for the flight-recorder trace tooling, run as a ctest:
-#   1. run harvest_inspect --selftest twice, dumping the same run as legacy
-#      span JSONL and as Chrome Trace Event JSON,
-#   2. feed both dumps to harvest_trace — the analyzer must parse either
-#      encoding and produce a report containing the per-stage table and the
-#      critical path,
-#   3. reject garbage input with a nonzero exit.
+#   1. run harvest_inspect --selftest, dumping the run as a Chrome Trace
+#      Event JSON document,
+#   2. feed the dump to harvest_trace — the report must contain the
+#      per-stage table, the critical path and the pipeline.scavenge stage,
+#   3. reject garbage input and a truncated dump with a nonzero exit.
 # Driven by: cmake -DINSPECT=... -DTRACE=... -DWORK_DIR=... -P this_file
 file(MAKE_DIRECTORY ${WORK_DIR})
-set(JSONL ${WORK_DIR}/spans.jsonl)
 set(CHROME ${WORK_DIR}/trace.json)
 
 function(run outvar)
@@ -19,25 +17,30 @@ function(run outvar)
   set(${outvar} "${out}" PARENT_SCOPE)
 endfunction()
 
-run(_ ${INSPECT} --selftest --trace ${JSONL} --trace-format jsonl)
-run(_ ${INSPECT} --selftest --trace ${CHROME} --trace-format chrome)
+run(_ ${INSPECT} --selftest --trace ${CHROME})
 
-foreach(dump ${JSONL} ${CHROME})
-  run(report ${TRACE} ${dump})
-  foreach(want "per-stage aggregate timings" "critical path"
-          "pipeline.scavenge")
-    string(FIND "${report}" "${want}" at)
-    if(at EQUAL -1)
-      message(FATAL_ERROR
-              "harvest_trace report for ${dump} lacks '${want}':\n${report}")
-    endif()
-  endforeach()
+run(report ${TRACE} ${CHROME})
+foreach(want "per-stage aggregate timings" "critical path"
+        "pipeline.scavenge")
+  string(FIND "${report}" "${want}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR
+            "harvest_trace report for ${CHROME} lacks '${want}':\n${report}")
+  endif()
 endforeach()
 
-# Garbage input must be rejected, not crash or report nonsense.
+# Garbage input and a dump cut off mid-way must be rejected, not crash or
+# report nonsense.
 file(WRITE ${WORK_DIR}/garbage.json "this is not a trace\n")
-execute_process(COMMAND ${TRACE} ${WORK_DIR}/garbage.json
-                RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
-if(code EQUAL 0)
-  message(FATAL_ERROR "harvest_trace accepted garbage input")
-endif()
+file(READ ${CHROME} dump)
+string(LENGTH "${dump}" dump_len)
+math(EXPR half "${dump_len} / 2")
+string(SUBSTRING "${dump}" 0 ${half} truncated)
+file(WRITE ${WORK_DIR}/truncated.json "${truncated}")
+foreach(bad ${WORK_DIR}/garbage.json ${WORK_DIR}/truncated.json)
+  execute_process(COMMAND ${TRACE} ${bad}
+                  RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+  if(code EQUAL 0)
+    message(FATAL_ERROR "harvest_trace accepted ${bad}")
+  endif()
+endforeach()

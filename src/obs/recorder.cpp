@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <ostream>
+#include <string>
 
 #include "util/json.h"
 #include "util/string_util.h"
@@ -481,13 +483,19 @@ void Recorder::write_chrome_trace(std::ostream& out) {
         }
         out << "}";
         break;
-      case EventKind::kCounter:
+      case EventKind::kCounter: {
+        // JSON has no NaN or infinity: a non-finite sample is written as
+        // null, so one bad sample cannot make the whole dump unreadable.
+        const double value = std::bit_cast<double>(e.a);
         out << "{\"ph\":\"C\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":"
             << us(e.ts_ns) << ",\"name\":\"" << name << "\",\"args\":{\""
             << name << "\":"
-            << trim_zeros(util::format_double(std::bit_cast<double>(e.a), 6))
+            << (std::isfinite(value)
+                    ? trim_zeros(util::format_double(value, 6))
+                    : std::string("null"))
             << "}}";
         break;
+      }
     }
   }
   out << "\n]}\n";

@@ -84,7 +84,8 @@ MergeReport merge_readers(const std::vector<const Reader*>& inputs,
           const std::uint64_t last =
               std::min(total_rows, first + rows_per_shard);
           std::ostringstream buf(std::ios::binary);
-          Writer writer(buf, schema, options);
+          // Already one task of a parallel_for: encode inline.
+          Writer writer(buf, schema, options, /*pool=*/nullptr);
           for (std::uint64_t r = first; r < last; ++r) {
             writer.add(time[r], {context.data() + r * dim, dim}, action[r],
                        reward[r], propensity[r]);

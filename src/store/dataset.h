@@ -111,6 +111,9 @@ class Dataset {
 /// highest existing part, so the previous dataset stays readable until the
 /// new manifest is published; finish() then removes the old parts. A fresh
 /// directory starts at part-00000.hlog.
+///
+/// Each part's Writer encodes its sealed blocks on par::default_pool() while
+/// add() fills the next block (see writer.h); the bytes do not depend on it.
 class DatasetWriter {
  public:
   /// Creates `dir` (and parents) if needed. At least one part file is always

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "store/crc32c.h"
 #include "store/encoding.h"
 
@@ -40,8 +40,12 @@ std::string encode_header_and_schema(const Schema& schema) {
   return head;
 }
 
-Writer::Writer(std::ostream& out, Schema schema, WriterOptions options)
-    : out_(out), schema_(std::move(schema)), options_(options) {
+Writer::Writer(std::ostream& out, Schema schema, WriterOptions options,
+               par::ThreadPool* pool)
+    : out_(out),
+      schema_(std::move(schema)),
+      options_(options),
+      encode_(pool) {
   if (schema_.decision_event.empty()) {
     throw std::invalid_argument("store::Writer: decision_event required");
   }
@@ -62,10 +66,18 @@ Writer::Writer(std::ostream& out, Schema schema, WriterOptions options)
 
 Writer::~Writer() {
   try {
-    finish();
+    finish();  // waits for the block in flight before anything can throw
   } catch (...) {
     // Destructors must not throw; an explicit finish() surfaces errors.
   }
+}
+
+void Writer::Block::clear() {
+  time.clear();
+  context.clear();
+  action.clear();
+  reward.clear();
+  propensity.clear();
 }
 
 void Writer::add(double time, std::span<const double> context,
@@ -79,13 +91,21 @@ void Writer::add(double time, std::span<const double> context,
         std::to_string(context.size()) + ", schema has " +
         std::to_string(schema_.context_fields.size()));
   }
-  time_.push_back(time);
-  context_.insert(context_.end(), context.begin(), context.end());
-  action_.push_back(action);
-  reward_.push_back(reward);
-  propensity_.push_back(propensity);
+  filling_.time.push_back(time);
+  filling_.context.insert(filling_.context.end(), context.begin(),
+                          context.end());
+  filling_.action.push_back(action);
+  filling_.reward.push_back(reward);
+  filling_.propensity.push_back(propensity);
   ++rows_written_;
-  if (time_.size() >= options_.rows_per_block) flush_block();
+  if (filling_.time.size() >= options_.rows_per_block) seal();
+}
+
+void Writer::seal() {
+  encode_.wait();  // one block in flight; rethrows its encode error
+  std::swap(filling_, sealed_);
+  filling_.clear();
+  encode_.run([this] { flush_block(sealed_); });
 }
 
 // Field-major: one tag byte per field, then the field's stream. A field is
@@ -93,9 +113,9 @@ void Writer::add(double time, std::span<const double> context,
 // the first block that would overflow rolls back the entries it tentatively
 // added (they are exactly the tail of the insertion-ordered value list) and
 // the field stays raw for the rest of the shard.
-void Writer::encode_context_column(std::string& out) {
+void Writer::encode_context_column(const Block& block, std::string& out) {
   const std::size_t dim = schema_.context_fields.size();
-  const std::size_t rows = time_.size();
+  const std::size_t rows = block.time.size();
   for (std::size_t f = 0; f < dim; ++f) {
     DictBuilder& dict = dicts_[f];
     bool use_dict = !dict.overflowed && options_.max_dict_entries > 0;
@@ -103,7 +123,7 @@ void Writer::encode_context_column(std::string& out) {
       code_scratch_.clear();
       const std::size_t snapshot = dict.values.size();
       for (std::size_t i = 0; i < rows; ++i) {
-        const double v = context_[i * dim + f];
+        const double v = block.context[i * dim + f];
         const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
         const auto it = dict.code_of.find(bits);
         if (it != dict.code_of.end()) {
@@ -130,34 +150,37 @@ void Writer::encode_context_column(std::string& out) {
       encode_u32_stream(code_scratch_, out);
     } else {
       out.push_back(static_cast<char>(kContextRaw));
-      encode_f64_stream(context_.data() + f, rows, dim, out);
+      encode_f64_stream(block.context.data() + f, rows, dim, out);
     }
   }
 }
 
-void Writer::flush_block() {
-  if (time_.empty()) return;
-  obs::ScopedSpan span("store.write_block");
-  const auto rows = static_cast<std::uint32_t>(time_.size());
+void Writer::flush_block(const Block& block) {
+  // No span here: on a pool the encode already runs as one "par.task" span,
+  // and a second recorder event per block filled the bounded trace sooner.
+  if (block.time.empty()) return;
+  const auto rows = static_cast<std::uint32_t>(block.time.size());
 
   ZoneMap zone;
   bool time_nan = false;
   bool prop_nan = false;
-  for (std::size_t i = 0; i < time_.size(); ++i) {
-    if (std::isnan(time_[i])) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double time = block.time[i];
+    const double propensity = block.propensity[i];
+    if (std::isnan(time)) {
       time_nan = true;
     } else {
-      zone.min_time = std::min(zone.min_time, time_[i]);
-      zone.max_time = std::max(zone.max_time, time_[i]);
+      zone.min_time = std::min(zone.min_time, time);
+      zone.max_time = std::max(zone.max_time, time);
     }
-    if (std::isnan(propensity_[i])) {
+    if (std::isnan(propensity)) {
       prop_nan = true;
     } else {
-      zone.min_propensity = std::min(zone.min_propensity, propensity_[i]);
-      zone.max_propensity = std::max(zone.max_propensity, propensity_[i]);
+      zone.min_propensity = std::min(zone.min_propensity, propensity);
+      zone.max_propensity = std::max(zone.max_propensity, propensity);
     }
-    zone.min_action = std::min(zone.min_action, action_[i]);
-    zone.max_action = std::max(zone.max_action, action_[i]);
+    zone.min_action = std::min(zone.min_action, block.action[i]);
+    zone.max_action = std::max(zone.max_action, block.action[i]);
   }
   // A NaN (or an all-NaN column, which would leave the range inverted)
   // widens the zone to "anything" so pruning stays conservative.
@@ -189,11 +212,11 @@ void Writer::flush_block() {
       encode_f64_stream(values.data(), values.size(), 1, out);
     });
   };
-  f64_column(time_);
-  column([&](std::string& out) { encode_context_column(out); });
-  column([&](std::string& out) { encode_u32_stream(action_, out); });
-  f64_column(reward_);
-  f64_column(propensity_);
+  f64_column(block.time);
+  column([&](std::string& out) { encode_context_column(block, out); });
+  column([&](std::string& out) { encode_u32_stream(block.action, out); });
+  f64_column(block.reward);
+  f64_column(block.propensity);
 
   out_.write(block_.data(), static_cast<std::streamsize>(block_.size()));
   offset_ += block_.size();
@@ -202,12 +225,6 @@ void Writer::flush_block() {
   block_index_.push_back(
       {static_cast<std::uint32_t>(block_.size()), rows, zone});
   obs::Registry::global().counter("store_blocks_written_total").add(1.0);
-
-  time_.clear();
-  context_.clear();
-  action_.clear();
-  reward_.clear();
-  propensity_.clear();
 
   if (shard_blocks_ >= options_.blocks_per_shard) close_shard();
 }
@@ -250,9 +267,10 @@ void Writer::close_shard() {
 
 void Writer::finish() {
   if (finished_) return;
-  flush_block();
-  close_shard();
   finished_ = true;
+  encode_.wait();
+  flush_block(filling_);
+  close_shard();
 
   counts_.rows = rows_written_;
   const std::string tail =

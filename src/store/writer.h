@@ -1,9 +1,16 @@
-// Streaming HLOG writer. Buffers at most one block of rows (bounded memory
+// Streaming HLOG writer. Buffers at most two blocks of rows (bounded memory
 // regardless of corpus size), encodes columns on block boundaries, and
 // closes the file with the footer index + compaction ledger. Output is a
 // pure function of (schema, options, row sequence, counts) — no wall-clock
 // timestamps or randomness ever reach the file, so compacting the same text
 // corpus twice yields byte-identical HLOG.
+//
+// Pipelining: add() only appends to a filling block. A full block is sealed
+// and encoded (zone map, column codecs, CRC32C, stream write, shard close)
+// as one task on the writer's pool while add() fills the next block. At
+// most one block is in flight, and blocks are encoded in row order, so the
+// per-shard dictionaries and the stream order — and hence the bytes — are
+// the same for any pool, including none (encode inline).
 //
 // v2 additions: every flushed block records its zone map (min/max time,
 // action range, propensity range) in the footer block index, and context
@@ -19,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "par/thread_pool.h"
 #include "store/format.h"
 
 namespace harvest::store {
@@ -41,13 +49,17 @@ class Writer {
  public:
   /// Writes the header + schema section immediately. Throws
   /// std::invalid_argument on a malformed schema (no decision event, zero
-  /// actions) or zero block/shard geometry.
-  Writer(std::ostream& out, Schema schema, WriterOptions options = {});
+  /// actions) or zero block/shard geometry. Sealed blocks are encoded on
+  /// `pool` (null: inline in add()); the bytes do not depend on it.
+  Writer(std::ostream& out, Schema schema, WriterOptions options = {},
+         par::ThreadPool* pool = par::default_pool());
 
   /// Appends one decision row. `context.size()` must equal the schema's
   /// context arity. Values are stored bit-exactly (pre-transform raw
   /// reward, validated propensity — 1.0 placeholder when the schema has no
-  /// propensity field).
+  /// propensity field). An exception thrown while encoding an earlier block
+  /// (a stream with exceptions enabled, bad_alloc) surfaces here, from the
+  /// add() that seals the next block, or from finish().
   void add(double time, std::span<const double> context, std::uint32_t action,
            double reward, double propensity);
 
@@ -55,8 +67,9 @@ class Writer {
   /// before finish(); rows is filled in automatically.
   void set_counts(const Counts& counts) { counts_ = counts; }
 
-  /// Flushes the open block and writes footer + trailer. Idempotent; the
-  /// destructor calls it, but calling explicitly surfaces stream errors.
+  /// Waits for the block in flight, encodes the partial tail block, and
+  /// writes footer + trailer. Idempotent; the destructor calls it, but
+  /// calling explicitly surfaces stream and encode errors.
   void finish();
 
   ~Writer();
@@ -66,8 +79,9 @@ class Writer {
   std::uint64_t rows_written() const { return rows_written_; }
   const Schema& schema() const { return schema_; }
 
-  /// Footer indices accumulated so far (complete after finish()). The
-  /// merging compactor uses these to lift a freshly encoded shard region
+  /// Footer indices, complete only after finish(): before it they are being
+  /// appended to by the encode task, so reading them then is a data race.
+  /// The merging compactor uses these to lift a freshly encoded shard region
   /// into a combined file without reparsing it.
   const std::vector<ShardIndexEntry>& shard_index() const { return shards_; }
   const std::vector<BlockIndexEntry>& block_index() const {
@@ -84,22 +98,36 @@ class Writer {
     bool overflowed = false;
   };
 
-  void flush_block();
+  /// One block's column buffers (bounded by rows_per_block).
+  struct Block {
+    std::vector<double> time;
+    std::vector<double> context;  // row-major rows*dim
+    std::vector<std::uint32_t> action;
+    std::vector<double> reward;
+    std::vector<double> propensity;
+
+    void clear();
+  };
+
+  /// Waits for the block in flight, swaps the full filling block into the
+  /// sealed slot and hands its encode to the pool.
+  void seal();
+  void flush_block(const Block& block);
   void close_shard();
-  void encode_context_column(std::string& out);
+  void encode_context_column(const Block& block, std::string& out);
 
   std::ostream& out_;
   Schema schema_;
   WriterOptions options_;
   Counts counts_;
 
-  // Current block's column buffers (bounded by rows_per_block).
-  std::vector<double> time_;
-  std::vector<double> context_;  // row-major rows*dim
-  std::vector<std::uint32_t> action_;
-  std::vector<double> reward_;
-  std::vector<double> propensity_;
+  Block filling_;  ///< rows add() appends to; touched by the caller only
+  Block sealed_;   ///< the block in flight; swapped only after its encode
+  std::uint64_t rows_written_ = 0;
+  bool finished_ = false;
 
+  // Encode state: written only by flush_block()/close_shard(), which run
+  // one at a time (in the encode task, or inline from finish()).
   std::vector<ShardIndexEntry> shards_;
   std::vector<BlockIndexEntry> block_index_;
   std::vector<DictBuilder> dicts_;  ///< one per context field, reset per shard
@@ -108,11 +136,13 @@ class Writer {
   std::uint64_t shard_first_row_ = 0;
   std::uint64_t shard_rows_ = 0;
   std::uint32_t shard_blocks_ = 0;
-  std::uint64_t rows_written_ = 0;
-  bool finished_ = false;
   std::string block_;    ///< reused encode buffer for one framed block
   std::string scratch_;  ///< reused encode buffer for dictionary sections
   std::vector<std::uint32_t> code_scratch_;
+
+  /// The encode in flight. finish(), which ~Writer calls, is what waits for
+  /// it: ~TaskGroup skips its own wait once wait() has run, as seal() does.
+  par::TaskGroup encode_;
 };
 
 /// Serializes the schema payload (shared by Writer and the reader's

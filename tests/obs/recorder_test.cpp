@@ -4,6 +4,7 @@
 // chrome-trace validity check.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -184,6 +185,44 @@ TEST(RecorderTest, ChromeTraceGolden) {
   EXPECT_EQ(json.back(), '\n');
   EXPECT_NE(json.find("\n]}"), std::string::npos);
   EXPECT_NO_THROW(util::parse_json(json));
+}
+
+// JSON has no NaN or infinity: a non-finite counter sample is written as
+// null, and the dump stays one document the JSON reader (and harvest_trace)
+// accepts. Finite samples keep their value.
+TEST(RecorderTest, NonFiniteCounterSamplesAreNullInChromeTrace) {
+  Recorder recorder(small_options(64, 64, true));
+  const std::uint32_t nan = recorder.intern("nan_gauge");
+  const std::uint32_t pos = recorder.intern("pos_inf_gauge");
+  const std::uint32_t neg = recorder.intern("neg_inf_gauge");
+  const std::uint32_t ok = recorder.intern("ok_gauge");
+  recorder.emit_counter(nan, std::numeric_limits<double>::quiet_NaN());
+  recorder.emit_counter(pos, std::numeric_limits<double>::infinity());
+  recorder.emit_counter(neg, -std::numeric_limits<double>::infinity());
+  recorder.emit_counter(ok, 1.5);
+
+  std::ostringstream out;
+  recorder.write_chrome_trace(out);
+  util::JsonValue root;
+  ASSERT_NO_THROW(root = util::parse_json(out.str())) << out.str();
+  const util::JsonValue* events = root.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::size_t counters = 0;
+  for (const util::JsonValue& e : events->items) {
+    const util::JsonValue* ph = e.find("ph");
+    if (ph == nullptr || ph->text != "C") continue;
+    ++counters;
+    const std::string& name = e.find("name")->text;
+    const util::JsonValue* value = e.find("args")->find(name);
+    ASSERT_NE(value, nullptr) << name;
+    if (name == "ok_gauge") {
+      EXPECT_EQ(value->kind, util::JsonValue::kNumber);
+      EXPECT_EQ(value->as_double(), 1.5);
+    } else {
+      EXPECT_EQ(value->kind, util::JsonValue::kNull) << name;
+    }
+  }
+  EXPECT_EQ(counters, 4u);
 }
 
 // --- satellite regressions ----------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.h"
@@ -47,10 +48,14 @@ TEST(QuantileTest, MultipleQuantilesMatchSingle) {
 
 // P2 streaming estimator must converge to the exact quantile on stationary
 // input, across distributions and target quantiles.
+// gtest names each case by a byte dump of its P2Case, so the struct must
+// have no padding bytes (their contents vary from build to build): `dist`
+// is 64-bit to fill the 16 bytes exactly.
 struct P2Case {
   double q;
-  int dist;  // 0 uniform, 1 normal, 2 exponential
+  std::int64_t dist;  // 0 uniform, 1 normal, 2 exponential
 };
+static_assert(sizeof(P2Case) == sizeof(double) + sizeof(std::int64_t));
 
 class P2QuantileProperty : public ::testing::TestWithParam<P2Case> {};
 

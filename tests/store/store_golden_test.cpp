@@ -5,8 +5,9 @@
 // files), plus the exact MANIFEST.json text. The input covers a
 // dictionary-coded context field (with -0.0 distinct from 0.0), a raw one
 // (with a denormal) that overflows the dictionary, a NaN row, and a
-// non-trivial ledger. A change to these constants is a format change: it
-// needs a format version bump, not a new golden.
+// non-trivial ledger. The constants hold with blocks encoded inline and on
+// pools of one and eight workers. A change to these constants is a format
+// change: it needs a format version bump, not a new golden.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,6 +20,7 @@
 #include <sstream>
 #include <string>
 
+#include "par/thread_pool.h"
 #include "store/crc32c.h"
 #include "store/dataset.h"
 #include "store/writer.h"
@@ -126,10 +128,12 @@ std::string read_file(const std::filesystem::path& path) {
           std::istreambuf_iterator<char>()};
 }
 
-TEST(StoreGoldenTest, WriterBytesArePinned) {
+/// Writes the golden input through a Writer encoding on `pool` (null:
+/// inline) and checks the pinned bytes.
+void expect_writer_bytes_pinned(par::ThreadPool* pool) {
   std::ostringstream out;
   {
-    Writer writer(out, golden_schema(), golden_options());
+    Writer writer(out, golden_schema(), golden_options(), pool);
     write_rows(writer);
     writer.set_counts(golden_counts());
     writer.finish();
@@ -139,7 +143,12 @@ TEST(StoreGoldenTest, WriterBytesArePinned) {
   EXPECT_EQ(crc32c(bytes), 441254113u);
 }
 
-TEST(StoreGoldenTest, DatasetPartsAndManifestArePinned) {
+/// Same for a DatasetWriter, whose parts encode on par::default_pool() set to
+/// `total_threads` (1: inline). Its 350-row part roll falls inside a block,
+/// so on a pool the roll finishes a part while its last full block is in
+/// flight.
+void expect_dataset_bytes_pinned(std::size_t total_threads) {
+  par::set_default_threads(total_threads);
   const std::filesystem::path dir =
       std::filesystem::path(testing::TempDir()) / "hlog_golden_dataset";
   std::filesystem::remove_all(dir);
@@ -159,6 +168,32 @@ TEST(StoreGoldenTest, DatasetPartsAndManifestArePinned) {
   EXPECT_EQ(crc32c(part1), 4201991688u);
   EXPECT_EQ(read_file(dir / kManifestFileName), kGoldenManifest);
   std::filesystem::remove_all(dir);
+}
+
+TEST(StoreGoldenTest, WriterBytesArePinned) {
+  expect_writer_bytes_pinned(nullptr);
+}
+
+TEST(StoreGoldenTest, DatasetPartsAndManifestArePinned) {
+  expect_dataset_bytes_pinned(1);
+}
+
+// Blocks encoded on a pool while the next one fills: the same constants at
+// one worker and at eight.
+TEST(StoreGoldenTest, WriterBytesArePinnedOnPools) {
+  for (const std::size_t workers : {1u, 8u}) {
+    SCOPED_TRACE(workers);
+    par::ThreadPool pool(workers);
+    expect_writer_bytes_pinned(&pool);
+  }
+}
+
+TEST(StoreGoldenTest, DatasetPartsAndManifestArePinnedOnPools) {
+  for (const std::size_t total_threads : {2u, 9u}) {  // 1 and 8 workers
+    SCOPED_TRACE(total_threads);
+    expect_dataset_bytes_pinned(total_threads);
+  }
+  par::set_default_threads(1);
 }
 
 }  // namespace

@@ -76,21 +76,28 @@ trap 'rm -f "$T1_OUT" "$T8_OUT"; rm -rf "$STORE_DIR"' EXIT
   --demo-records 20000
 # --verify scavenges the text and the HLOG output and requires the datasets
 # to be bit-identical; run it at 1 and 8 threads to cover the parallel scan.
+# At 1 thread blocks are encoded inline, at 8 on the pool while the next
+# block fills; both outputs are kept and must be the same bytes.
 for threads in 1 8; do
   "$BUILD_DIR/tools/harvest_compact" "$STORE_DIR/demo.log" \
-    "$STORE_DIR/demo.hlog" \
+    "$STORE_DIR/demo-t$threads.hlog" \
     --event decide --context load --action choice --reward reward \
     --actions 3 --reward-lo=-0.5 --reward-hi 1.5 \
     --rows-per-block 512 --blocks-per-shard 4 \
     --threads "$threads" --verify > /dev/null
 done
+if ! cmp -s "$STORE_DIR/demo-t1.hlog" "$STORE_DIR/demo-t8.hlog"; then
+  echo "FAIL: harvest_compact output differs between --threads 1 and" \
+       "--threads 8 (inline vs pipelined block encode)" >&2
+  exit 1
+fi
 # Compaction must be deterministic: same text in, same bytes out.
 "$BUILD_DIR/tools/harvest_compact" "$STORE_DIR/demo.log" \
   "$STORE_DIR/demo2.hlog" \
   --event decide --context load --action choice --reward reward \
   --actions 3 --reward-lo=-0.5 --reward-hi 1.5 \
   --rows-per-block 512 --blocks-per-shard 4 > /dev/null
-if ! cmp -s "$STORE_DIR/demo.hlog" "$STORE_DIR/demo2.hlog"; then
+if ! cmp -s "$STORE_DIR/demo-t1.hlog" "$STORE_DIR/demo2.hlog"; then
   echo "FAIL: harvest_compact output is not deterministic" >&2
   exit 1
 fi
@@ -106,7 +113,8 @@ for frac in 0.1 0.5; do
   "$BUILD_DIR/tools/harvest_inspect" "$STORE_DIR/bad.hlog" \
     --diagnostics > /dev/null
 done
-echo "ok: HLOG round-trip identical at 1 and 8 threads; corruption quarantined"
+echo "ok: HLOG round-trip identical at 1 and 8 threads; compacted bytes" \
+     "identical at 1 and 8 threads; corruption quarantined"
 
 echo "==> store: partitioned dataset + parallel merge round-trip"
 # Text -> dataset directory (manifest + part files), verified against the
@@ -125,9 +133,9 @@ grep -q "pruning: predicate" "$STORE_DIR/inspect_window.txt" \
 # Merge the dataset's parts plus a standalone file into one shard file,
 # twice at different thread counts: byte-identical output or fail.
 "$BUILD_DIR/tools/harvest_compact" --merge "$STORE_DIR/merged1.hlog" \
-  "$STORE_DIR/ds" "$STORE_DIR/demo.hlog" --threads 1 > /dev/null
+  "$STORE_DIR/ds" "$STORE_DIR/demo-t1.hlog" --threads 1 > /dev/null
 "$BUILD_DIR/tools/harvest_compact" --merge "$STORE_DIR/merged8.hlog" \
-  "$STORE_DIR/ds" "$STORE_DIR/demo.hlog" --threads 8 > /dev/null
+  "$STORE_DIR/ds" "$STORE_DIR/demo-t1.hlog" --threads 8 > /dev/null
 if ! cmp -s "$STORE_DIR/merged1.hlog" "$STORE_DIR/merged8.hlog"; then
   echo "FAIL: merge output differs between --threads 1 and --threads 8" >&2
   exit 1
@@ -302,14 +310,17 @@ if [[ -z "$SANITIZE" ]]; then
 fi
 
 if [[ -z "$SANITIZE" ]]; then
-  echo "==> obs + serve: stress suites under TSan"
-  # The SPSC handoff (drain-while-recording) and the snapshot swap/reclaim
-  # protocol are the races this repo's memory orderings exist to make safe;
-  # prove both under the analyzer even on plain CI runs.
+  echo "==> obs + serve + store: stress suites under TSan"
+  # The SPSC handoff (drain-while-recording), the snapshot swap/reclaim
+  # protocol and the HLOG writer's block-in-flight handoff are the races
+  # this repo's memory orderings exist to make safe; prove them under the
+  # analyzer even on plain CI runs.
   cmake -B build-ci-obs-tsan -S . -DHARVEST_SANITIZE=thread
   cmake --build build-ci-obs-tsan -j "$(nproc)" \
-    --target recorder_stress_tests serve_stress_tests
+    --target recorder_stress_tests serve_stress_tests store_tests \
+    store_stress_tests
   ctest --test-dir build-ci-obs-tsan --output-on-failure \
-    -R 'RecorderStressTest|ServeStressTest' -j "$(nproc)"
-  echo "ok: recorder + serve stress clean under TSan"
+    -R 'RecorderStressTest|ServeStressTest|StoreStressTest|StorePipelineTest|StoreGoldenTest' \
+    -j "$(nproc)"
+  echo "ok: recorder + serve + store stress clean under TSan"
 fi
